@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <optional>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "crypto/sha256.h"
 #include "erasure/reed_solomon.h"
 #include "ledger/account.h"
+#include "util/binary_io.h"
 #include "util/fenwick.h"
 #include "util/prng.h"
 
@@ -39,7 +41,41 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096)->Arg(65536)->Arg(1 << 20);
+
+// The canonical state encoding is a long stream of small u64 writes; these
+// rows time that stream through each BinaryWriter mode (arg: u64 count).
+
+void write_u64_stream(benchmark::State& state, bool keep_bytes) {
+  const auto values =
+      random_bytes(static_cast<std::size_t>(state.range(0)) * 8, 5);
+  for (auto _ : state) {
+    fi::util::BinaryWriter writer(keep_bytes);
+    for (std::size_t i = 0; i + 8 <= values.size(); i += 8) {
+      std::uint64_t v = 0;
+      std::memcpy(&v, values.data() + i, 8);
+      writer.u64(v);
+    }
+    if (keep_bytes) {
+      benchmark::DoNotOptimize(writer.data().data());
+      benchmark::ClobberMemory();
+    } else {
+      benchmark::DoNotOptimize(writer.digest());
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0) * 8);
+}
+
+void BM_BinaryWriterHashOnlyU64(benchmark::State& state) {
+  write_u64_stream(state, /*keep_bytes=*/false);
+}
+BENCHMARK(BM_BinaryWriterHashOnlyU64)->Arg(1 << 17);
+
+void BM_BinaryWriterBufferedU64(benchmark::State& state) {
+  write_u64_stream(state, /*keep_bytes=*/true);
+}
+BENCHMARK(BM_BinaryWriterBufferedU64)->Arg(1 << 17);
 
 void BM_MerkleBuild(benchmark::State& state) {
   const auto data = random_bytes(static_cast<std::size_t>(state.range(0)), 2);

@@ -40,8 +40,8 @@ namespace fi::snapshot {
 inline constexpr std::uint32_t kFormatVersion = 1;
 inline constexpr char kMagic[8] = {'F', 'I', 'S', 'N', 'A', 'P', '0', '1'};
 
-/// The canonical state body (buffered; prefer `state_hash` when only the
-/// fingerprint is needed).
+/// The canonical state body (buffered and not hashed; prefer `state_hash`
+/// when only the fingerprint is needed).
 [[nodiscard]] std::vector<std::uint8_t> encode_state(
     const scenario::ScenarioRunner& runner);
 
@@ -71,7 +71,8 @@ struct Snapshot {
 
 /// Reads and validates a snapshot file: magic, version, framing lengths,
 /// digest, and spec parse. Rejects truncated, corrupted and wrong-version
-/// files with a descriptive status.
+/// files with a descriptive status. The file is read with one sized read
+/// and the body keeps that buffer, so loading holds the image once.
 [[nodiscard]] util::Result<Snapshot> read_file(const std::string& path);
 
 /// `read_file` + `ScenarioRunner::resume`. `workers_override`, when set,

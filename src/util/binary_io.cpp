@@ -5,18 +5,10 @@
 
 namespace fi::util {
 
-void BinaryWriter::put(std::uint8_t b) {
-  hasher_.update(std::span<const std::uint8_t>(&b, 1));
-  if (keep_bytes_) buf_.push_back(b);
-  ++size_;
-}
-
-void BinaryWriter::u8(std::uint8_t v) { put(v); }
+void BinaryWriter::u8(std::uint8_t v) { raw({&v, 1}); }
 
 // Scalars assemble their little-endian bytes on the stack and go through
-// raw() so the hasher and buffer each see one bulk update per value — the
-// encoding is u64-dominated, and per-byte SHA-256 updates would make
-// checkpointing a 10^6-file run pay hundreds of millions of update calls.
+// raw(), which appends them to the buffer or the hash stage in one copy.
 
 void BinaryWriter::u16(std::uint16_t v) {
   const std::uint8_t bytes[2] = {static_cast<std::uint8_t>(v),
@@ -45,7 +37,7 @@ void BinaryWriter::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
 void BinaryWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
-void BinaryWriter::boolean(bool v) { put(v ? 1 : 0); }
+void BinaryWriter::boolean(bool v) { u8(v ? 1 : 0); }
 
 void BinaryWriter::bytes(std::span<const std::uint8_t> data) {
   u64(data.size());
@@ -53,9 +45,23 @@ void BinaryWriter::bytes(std::span<const std::uint8_t> data) {
 }
 
 void BinaryWriter::raw(std::span<const std::uint8_t> data) {
-  hasher_.update(data);
-  if (keep_bytes_) buf_.insert(buf_.end(), data.begin(), data.end());
+  // An empty span may carry a null data(), which memcpy must not see.
+  if (data.empty()) return;
   size_ += data.size();
+  if (keep_bytes_) {
+    buf_.insert(buf_.end(), data.begin(), data.end());
+    return;
+  }
+  if (staged_ + data.size() > stage_.size()) {
+    hasher_.update({stage_.data(), staged_});
+    staged_ = 0;
+    if (data.size() >= stage_.size()) {
+      hasher_.update(data);
+      return;
+    }
+  }
+  std::memcpy(stage_.data() + staged_, data.data(), data.size());
+  staged_ += data.size();
 }
 
 void BinaryWriter::str(std::string_view s) {
@@ -64,7 +70,9 @@ void BinaryWriter::str(std::string_view s) {
 }
 
 crypto::Digest BinaryWriter::digest() const {
+  if (keep_bytes_) return crypto::sha256(buf_);
   crypto::Sha256 copy = hasher_;  // finalize() consumes; hash a copy
+  copy.update({stage_.data(), staged_});
   return copy.finalize();
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -13,10 +14,16 @@
 ///
 /// Every multi-byte value is written explicitly little-endian, one byte at
 /// a time, so the encoding is identical on every platform regardless of
-/// host endianness or struct layout. The writer feeds a streaming SHA-256
-/// as it goes, which makes `state_hash()` — the digest of the canonical
-/// encoding — available without buffering the whole image (hash-only
-/// mode), and lets snapshot files carry a self-checking digest.
+/// host endianness or struct layout. A writer has one of two jobs:
+///
+/// - *buffering* (the default) keeps the encoding in `data()` and hashes
+///   nothing while writing; `digest()` hashes `data()` when asked, so
+///   callers that only want the bytes (a snapshot body, a fork, a
+///   component re-encoding) never pay for a SHA-256 they do not read;
+/// - *hash-only* keeps nothing: writes collect in a small fixed staging
+///   block that reaches a streaming SHA-256 a whole block at a time, so
+///   `state_hash()` — the digest of the canonical encoding — needs neither
+///   the whole image in memory nor one hasher call per scalar.
 ///
 /// The reader is failure-latching: any read past the end (or a malformed
 /// value such as a non-0/1 boolean) sets a sticky fail flag and returns a
@@ -31,6 +38,9 @@ class BinaryWriter {
   /// `keep_bytes == false` builds a hash-only writer: bytes are digested
   /// and counted but not stored (for `state_hash()` over large states).
   explicit BinaryWriter(bool keep_bytes = true) : keep_bytes_(keep_bytes) {}
+
+  /// Size of the hash-only writer's staging block.
+  static constexpr std::size_t kHashStageBytes = 4096;
 
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
@@ -53,16 +63,20 @@ class BinaryWriter {
   [[nodiscard]] std::uint64_t size() const { return size_; }
   /// The buffered encoding (empty in hash-only mode).
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
+  /// Moves the buffered encoding out; the writer is spent afterwards.
+  [[nodiscard]] std::vector<std::uint8_t> take() && { return std::move(buf_); }
   /// SHA-256 of everything written so far (does not disturb the stream —
-  /// more writes may follow).
+  /// more writes may follow). A buffering writer hashes `data()` here.
   [[nodiscard]] crypto::Digest digest() const;
 
  private:
-  void put(std::uint8_t b);
-
   bool keep_bytes_;
+  /// Buffering mode: the whole encoding.
   std::vector<std::uint8_t> buf_;
   std::uint64_t size_ = 0;
+  /// Hash-only mode: bytes not yet passed to `hasher_`.
+  std::array<std::uint8_t, kHashStageBytes> stage_{};
+  std::size_t staged_ = 0;
   crypto::Sha256 hasher_;
 };
 

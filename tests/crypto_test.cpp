@@ -69,6 +69,105 @@ TEST(Sha256, ResetRestoresInitialState) {
 }
 
 // ---------------------------------------------------------------------------
+// Compression kernels: each one driven directly, the portable one as the
+// reference the SHA-NI one must match byte for byte
+// ---------------------------------------------------------------------------
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+Digest digest_with(Sha256Kernel kernel, std::span<const std::uint8_t> data) {
+  Sha256 hasher(kernel);
+  hasher.update(data);
+  return hasher.finalize();
+}
+
+void expect_fips_vectors(Sha256Kernel kernel) {
+  struct Vector {
+    std::string input;
+    const char* hex;
+  };
+  const Vector vectors[] = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+       "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+      {std::string(1'000'000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+  for (const Vector& v : vectors) {
+    EXPECT_EQ(util::to_hex(digest_with(kernel, bytes_of(v.input))), v.hex)
+        << "input of " << v.input.size() << " bytes";
+  }
+}
+
+/// `kernel` against the portable kernel: every length 0..1024 one-shot and
+/// at random update() split points, inputs at unaligned offsets 1..15, and
+/// multi-block runs from random chaining states handed to the kernels
+/// directly.
+void expect_matches_portable(Sha256Kernel kernel) {
+  const Sha256Kernel reference = &sha256_blocks_portable;
+  const std::vector<std::uint8_t> data = random_bytes(1024 + 16, 11);
+  util::Xoshiro256 rng(12);
+
+  for (std::size_t len = 0; len <= 1024; ++len) {
+    const std::span<const std::uint8_t> msg(data.data(), len);
+    const Digest want = digest_with(reference, msg);
+    ASSERT_EQ(digest_with(kernel, msg), want) << "length " << len;
+    Sha256 split(kernel);
+    for (std::size_t off = 0; off < len;) {
+      const std::size_t take = 1 + rng.uniform_below(len - off);
+      split.update(msg.subspan(off, take));
+      off += take;
+    }
+    ASSERT_EQ(split.finalize(), want) << "split, length " << len;
+  }
+
+  for (std::size_t shift = 1; shift <= 15; ++shift) {
+    for (const std::size_t len : {0, 1, 55, 56, 63, 64, 65, 128, 1000, 1024}) {
+      const std::span<const std::uint8_t> unaligned(data.data() + shift, len);
+      const std::vector<std::uint8_t> copy(unaligned.begin(), unaligned.end());
+      ASSERT_EQ(digest_with(kernel, unaligned), digest_with(reference, copy))
+          << "offset " << shift << ", length " << len;
+    }
+  }
+
+  for (std::size_t blocks = 1; blocks <= 16; ++blocks) {
+    for (std::size_t shift = 0; shift <= 15; ++shift) {
+      std::array<std::uint32_t, 8> got;
+      for (auto& word : got) word = static_cast<std::uint32_t>(rng());
+      std::array<std::uint32_t, 8> want = got;
+      kernel(got.data(), data.data() + shift, blocks);
+      reference(want.data(), data.data() + shift, blocks);
+      ASSERT_EQ(got, want) << blocks << " blocks at offset " << shift;
+    }
+  }
+}
+
+TEST(Sha256Kernel, PortableKernel) {
+  expect_fips_vectors(&sha256_blocks_portable);
+  expect_matches_portable(&sha256_blocks_portable);
+}
+
+TEST(Sha256Kernel, ShaNiKernelMatchesPortable) {
+  const Sha256Kernel shani = sha256_blocks_shani();
+  if (shani == nullptr) {
+    GTEST_SKIP() << "this build or CPU has no SHA-NI; only the portable "
+                    "kernel is in use";
+  }
+  expect_fips_vectors(shani);
+  expect_matches_portable(shani);
+}
+
+// ---------------------------------------------------------------------------
 // Hash256 and domain separation
 // ---------------------------------------------------------------------------
 

@@ -13,11 +13,13 @@
 #include <string>
 #include <vector>
 
+#include "crypto/sha256.h"
 #include "scenario/runner.h"
 #include "scenario/spec.h"
 #include "snapshot/snapshot.h"
 #include "util/binary_io.h"
 #include "util/config.h"
+#include "util/hex.h"
 
 namespace fi {
 namespace {
@@ -108,6 +110,67 @@ TEST(BinaryIo, HashOnlyWriterMatchesBufferedDigest) {
   EXPECT_TRUE(hashing.data().empty());
   EXPECT_EQ(hashing.size(), buffered.size());
   EXPECT_EQ(hashing.digest(), buffered.digest());
+}
+
+// The hash-only writer stages its bytes in a fixed block; each case below
+// runs the same writes through both modes and checks both digests against
+// a one-shot SHA-256 of the buffered bytes.
+
+void expect_writers_agree(const util::BinaryWriter& buffered,
+                          const util::BinaryWriter& hashing) {
+  EXPECT_TRUE(hashing.data().empty());
+  EXPECT_EQ(hashing.size(), buffered.size());
+  EXPECT_EQ(buffered.size(), buffered.data().size());
+  const crypto::Digest want = crypto::sha256(buffered.data());
+  EXPECT_EQ(buffered.digest(), want);
+  EXPECT_EQ(hashing.digest(), want);
+}
+
+TEST(BinaryIo, WritesStraddlingTheStagingBlock) {
+  util::BinaryWriter buffered;
+  util::BinaryWriter hashing(/*keep_bytes=*/false);
+  for (util::BinaryWriter* w : {&buffered, &hashing}) {
+    w->u8(7);  // every later u64 sits one byte off the block grid
+    for (std::uint64_t i = 0; i < 3 * util::BinaryWriter::kHashStageBytes / 8;
+         ++i) {
+      w->u64(i * 0x9e3779b97f4a7c15ULL);
+      if (i % 5 == 0) w->u32(static_cast<std::uint32_t>(i));
+    }
+  }
+  EXPECT_GT(buffered.size(), 3 * util::BinaryWriter::kHashStageBytes);
+  expect_writers_agree(buffered, hashing);
+}
+
+TEST(BinaryIo, RawWriteLargerThanTheStagingBlock) {
+  std::vector<std::uint8_t> big(2 * util::BinaryWriter::kHashStageBytes + 17);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>(i * 31);
+  }
+  util::BinaryWriter buffered;
+  util::BinaryWriter hashing(/*keep_bytes=*/false);
+  for (util::BinaryWriter* w : {&buffered, &hashing}) {
+    w->u16(0xbeef);
+    w->raw(big);
+    w->u64(42);
+  }
+  expect_writers_agree(buffered, hashing);
+}
+
+TEST(BinaryIo, DigestMidStreamThenMoreWrites) {
+  util::BinaryWriter buffered;
+  util::BinaryWriter hashing(/*keep_bytes=*/false);
+  for (util::BinaryWriter* w : {&buffered, &hashing}) {
+    w->str("before the mid-stream digest");
+  }
+  expect_writers_agree(buffered, hashing);
+  const crypto::Digest mid = hashing.digest();
+  for (util::BinaryWriter* w : {&buffered, &hashing}) {
+    for (std::uint64_t i = 0; i < util::BinaryWriter::kHashStageBytes; ++i) {
+      w->u64(i);
+    }
+  }
+  expect_writers_agree(buffered, hashing);
+  EXPECT_NE(hashing.digest(), mid);
 }
 
 // ---------------------------------------------------------------------------
@@ -222,6 +285,17 @@ void expect_save_load_identity(const scenario::ScenarioSpec& spec,
   EXPECT_EQ(runner.run().to_json(), uninterrupted.report_json) << tag;
   EXPECT_EQ(snapshot::state_hash(runner), uninterrupted.state_hash) << tag;
   fs::remove(path);
+}
+
+/// The buffered encoding a snapshot or fork carries and the streaming
+/// hash-only pass `state_hash()` makes walk the same bytes.
+TEST(BinaryIo, EncodedStateHashesToStateHash) {
+  scenario::ScenarioRunner runner(
+      shrunk_spec(fs::path(FI_CONFIG_DIR) / "smoke.cfg"));
+  (void)runner.run();
+  const std::vector<std::uint8_t> body = snapshot::encode_state(runner);
+  EXPECT_GT(body.size(), util::BinaryWriter::kHashStageBytes);
+  EXPECT_EQ(util::to_hex(crypto::sha256(body)), snapshot::state_hash(runner));
 }
 
 // ---------------------------------------------------------------------------
