@@ -5,7 +5,6 @@
 
 #include "util/checked.h"
 #include "util/distributions.h"
-#include "util/task_pool.h"
 
 namespace fi::core {
 
@@ -18,14 +17,6 @@ std::int64_t sample_refresh_countdown(util::Xoshiro256& rng,
   const double cycles = std::ceil(x);
   return cycles < 1.0 ? 1 : static_cast<std::int64_t>(cycles);
 }
-
-/// Same-kind task runs shorter than this execute serially even when a pool
-/// is configured — below it, pool dispatch costs more than the scan saves.
-constexpr std::size_t kMinSweepRun = 16;
-
-/// Sweep shard boundaries round to this many tasks (one cache line of
-/// 8-byte proof stamps) so adjacent workers never stamp the same line.
-constexpr std::size_t kSweepShardGranularity = 8;
 
 }  // namespace
 
@@ -52,16 +43,6 @@ Network::Network(Params params, ledger::Ledger& ledger, std::uint64_t seed,
   pending_.schedule(
       static_cast<Time>(params_.rent_period_cycles) * params_.proof_cycle,
       Task{TaskKind::rent_distribution, kNoFile, 0});
-}
-
-Network::~Network() = default;
-
-void Network::set_workers(std::uint64_t workers) {
-  const unsigned resolved = util::TaskPool::resolve_workers(workers);
-  if (resolved == workers_) return;
-  sweep_pool_.reset();
-  workers_ = resolved;
-  if (workers_ > 1) sweep_pool_ = std::make_unique<util::TaskPool>(workers_);
 }
 
 const FileDescriptor& Network::file(FileId file) const {
@@ -383,99 +364,9 @@ void Network::advance_to(Time t) {
     ++files_version_;
     due_buffer_.clear();
     pending_.pop_due_into(batch_time, due_buffer_);
-    run_batch(due_buffer_);
+    for (const auto& entry : due_buffer_) run_task(entry.second);
   }
   now_ = t;
-}
-
-void Network::run_batch(const std::vector<std::pair<Time, Task>>& due) {
-  std::size_t i = 0;
-  while (i < due.size()) {
-    const TaskKind kind = due[i].second.kind;
-    if (sweep_pool_ &&
-        (kind == TaskKind::check_proof || kind == TaskKind::check_refresh)) {
-      std::size_t j = i + 1;
-      while (j < due.size() && due[j].second.kind == kind) ++j;
-      if (j - i >= kMinSweepRun) {
-        if (kind == TaskKind::check_proof) {
-          run_check_proof_sweep(due, i, j);
-        } else {
-          run_check_refresh_sweep(due, i, j);
-        }
-        i = j;
-        continue;
-      }
-    }
-    run_task(due[i].second);
-    ++i;
-  }
-}
-
-void Network::run_check_proof_sweep(
-    const std::vector<std::pair<Time, Task>>& due, std::size_t begin,
-    std::size_t end) {
-  const std::size_t n = end - begin;
-  if (proof_scans_.size() < n) proof_scans_.resize(n);
-  // Shard boundaries rounded to 8 tasks: batches run in file-id order and
-  // files sit contiguously in the alloc slab, so aligning the split keeps
-  // two workers' proof stamps (8 Time values per cache line) off the same
-  // line at the seam.
-  sweep_pool_->parallel_for(
-      n, kSweepShardGranularity,
-      [&](std::size_t lo, std::size_t hi, std::size_t) {
-        for (std::size_t k = lo; k < hi; ++k) {
-          scan_check_proof(due[begin + k].second.file, proof_scans_[k]);
-        }
-      });
-  // Worker-side `last` stamps bypass the table's version counter (no shared
-  // atomic on the hot path); account for them once at the merge point.
-  alloc_table_.note_sweep_writes();
-  bool hazard = false;
-  for (std::size_t k = 0; k < n; ++k) {
-    hazard = hazard || proof_scans_[k].any_breach;
-  }
-  if (hazard) {
-    // Some sector breached ProofDeadline: confiscation marks entries of
-    // *other* files corrupted, so scans taken against pre-batch state may
-    // be stale. Replay the run serially — each file re-scans live state
-    // in turn, which is exactly the serial engine. The sweep's optimistic
-    // proof stamps are harmless: only replicas in non-physically-corrupted
-    // sectors were stamped, and those sectors cannot be confiscated within
-    // this batch, so the serial replay stamps the same set.
-    for (std::size_t k = 0; k < n; ++k) {
-      auto_check_proof(due[begin + k].second.file);
-    }
-    return;
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    apply_check_proof(due[begin + k].second.file, proof_scans_[k]);
-  }
-}
-
-void Network::run_check_refresh_sweep(
-    const std::vector<std::pair<Time, Task>>& due, std::size_t begin,
-    std::size_t end) {
-  // Unlike proof sweeps, refresh merges never invalidate later scans: both
-  // Fig. 9 branches mutate only the handled replica's entry, sector
-  // capacities, deposits and the ledger — never another entry's
-  // {existence, next, state} that classification reads. (A batch cannot
-  // hold two tasks for the same replica: a replica has at most one
-  // outstanding refresh, and a retry's deadline is always scheduled in a
-  // later batch.) So there is no hazard fallback here.
-  const std::size_t n = end - begin;
-  if (refresh_scans_.size() < n) refresh_scans_.resize(n);
-  sweep_pool_->parallel_for(
-      n, kSweepShardGranularity,
-      [&](std::size_t lo, std::size_t hi, std::size_t) {
-        for (std::size_t k = lo; k < hi; ++k) {
-          const Task& task = due[begin + k].second;
-          scan_check_refresh(task.file, task.index, refresh_scans_[k]);
-        }
-      });
-  for (std::size_t k = 0; k < n; ++k) {
-    const Task& task = due[begin + k].second;
-    apply_check_refresh(task.file, task.index, refresh_scans_[k]);
-  }
 }
 
 void Network::run_task(const Task& task) {
@@ -541,9 +432,8 @@ void Network::auto_check_alloc(FileId file) {
 }
 
 void Network::auto_check_proof(FileId file) {
-  // Serial execution is the same scan + apply pair the sharded sweep runs,
-  // so the parallel path cannot drift from this one. The hazard body takes
-  // over when a replica breached ProofDeadline (sector confiscation).
+  // Scan + apply; the hazard body takes over when a replica breached
+  // ProofDeadline (sector confiscation).
   ProofScan scan;
   scan_check_proof(file, scan);
   alloc_table_.note_sweep_writes();
@@ -555,12 +445,9 @@ void Network::auto_check_proof(FileId file) {
 }
 
 void Network::scan_check_proof(FileId file, ProofScan& out) {
-  // Concurrency contract (the parallel scan phase): this function may run
-  // on a worker thread with other scans over *different* files. It reads
-  // shared tables and writes only this file's entries' proof stamps —
-  // stamping is keyed on `auto_prove_` plus physical corruption, neither
-  // of which a concurrent scan (or a later merge in the same batch)
-  // changes, so the stamps equal what serial execution writes.
+  // Reads shared tables and writes only this file's entries' proof stamps
+  // (through the slab view, which skips the version bump; the caller
+  // accounts for them with `note_sweep_writes`).
   out.rec = nullptr;
   out.all_corrupted = true;
   out.any_breach = false;
@@ -762,40 +649,13 @@ bool Network::start_refresh_to(FileId file, ReplicaIndex index,
 }
 
 void Network::auto_check_refresh(FileId file, ReplicaIndex index) {
-  // Serial execution shares the sweep's scan + apply pair (see
-  // auto_check_proof).
-  RefreshScan scan;
-  scan_check_refresh(file, index, scan);
-  apply_check_refresh(file, index, scan);
-}
-
-void Network::scan_check_refresh(FileId file, ReplicaIndex index,
-                                 RefreshScan& out) {
-  // Concurrency contract: pure read — may run on a worker thread alongside
-  // scans of other tasks in the batch.
-  out.outcome = RefreshScan::Outcome::skip;
-  out.rec = nullptr;
   const auto it = files_.find(file);
   if (it == files_.end()) return;
+  const FileRecord& rec = it->second;
   const AllocEntry& e = alloc_table_.entry(file, index);
   if (e.next == kNoSector) return;  // stale: cancelled or already completed
+
   if (e.state == AllocState::confirm) {
-    out.outcome = RefreshScan::Outcome::success;
-    out.rec = &it->second;
-  } else if (e.state == AllocState::alloc) {
-    out.outcome = RefreshScan::Outcome::failure;
-    out.rec = &it->second;
-  }
-  // state == corrupted: the storing sector died mid-refresh; nothing to do.
-}
-
-void Network::apply_check_refresh(FileId file, ReplicaIndex index,
-                                  const RefreshScan& scan) {
-  if (scan.outcome == RefreshScan::Outcome::skip) return;
-  const FileRecord& rec = *scan.rec;
-  const AllocEntry& e = alloc_table_.entry(file, index);
-
-  if (scan.outcome == RefreshScan::Outcome::success) {
     // Handoff succeeded: swap prev <- next (Fig. 9).
     const SectorId old = e.prev;
     const SectorId fresh = e.next;
@@ -810,6 +670,8 @@ void Network::apply_check_refresh(FileId file, ReplicaIndex index,
     ++stats_.refreshes_completed;
     return;
   }
+  // state == corrupted: the storing sector died mid-refresh; nothing to do.
+  if (e.state != AllocState::alloc) return;
 
   // Handoff failed: punish the successor and every current holder
   // (liveness — any of them could have served the data), then retry.

@@ -10,7 +10,7 @@ GF256::GF256() {
   for (unsigned i = 0; i < 255; ++i) {
     exp_[i] = static_cast<std::uint8_t>(x);
     log_[x] = static_cast<std::uint8_t>(i);
-    x <<= 1;
+    x = static_cast<std::uint16_t>(x << 1);
     if (x & 0x100) x ^= 0x11d;
   }
   for (unsigned a = 0; a < 256; ++a) {

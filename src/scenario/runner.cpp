@@ -196,9 +196,6 @@ void ScenarioRunner::build_network() {
 
   net_ = std::make_unique<core::Network>(p, ledger_, spec_.seed);
   net_->set_auto_prove(true);
-  // Purely a throughput knob: the sweep merge is deterministic, so the
-  // report is byte-identical for every worker count.
-  net_->set_workers(spec_.engine_workers);
   net_->subscribe([this](const core::Event& event) {
     if (const auto* transfer =
             std::get_if<core::ReplicaTransferRequested>(&event)) {

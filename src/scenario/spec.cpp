@@ -4,7 +4,6 @@
 #include <limits>
 #include <sstream>
 
-#include "util/task_pool.h"
 
 namespace fi::scenario {
 
@@ -290,10 +289,10 @@ util::Result<ScenarioSpec> ScenarioSpec::from_config(
 #undef FI_SPEC_FIELD
 
   {
-    // Strict range validation: negative values fail the unsigned parse,
-    // absurd counts fail the range check (0 = hardware concurrency).
+    // No-op key, still range-checked: negative values fail the unsigned
+    // parse, absurd counts fail the range check.
     auto workers = config.get_u64_in_range_or(
-        "engine.workers", spec.engine_workers, 0, util::TaskPool::kMaxWorkers);
+        "engine.workers", spec.engine_workers, 0, kMaxEngineWorkers);
     if (!workers.is_ok()) return workers.status();
     spec.engine_workers = workers.value();
   }
@@ -362,13 +361,12 @@ util::Status ScenarioSpec::validate() const {
                      "the scenario engine runs the network in metadata mode "
                      "(auto-prove); net.verify_proofs must be false");
   }
-  if (engine_workers > util::TaskPool::kMaxWorkers) {
+  if (engine_workers > kMaxEngineWorkers) {
     // File configs get this from from_config's range check; this covers
     // in-code specs.
     return util::err(util::ErrorCode::invalid_argument,
                      "engine.workers must be at most " +
-                         std::to_string(util::TaskPool::kMaxWorkers) +
-                         " (0 = one per hardware thread)");
+                         std::to_string(kMaxEngineWorkers));
   }
   if (sectors == 0) {
     return util::err(util::ErrorCode::invalid_argument,

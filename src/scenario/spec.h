@@ -234,11 +234,12 @@ struct ScenarioSpec {
   /// draws, corruption targets).
   std::uint64_t seed = 1;
 
-  /// Worker threads for the engine's parallel epoch sweeps
-  /// (`engine.workers`): 1 = serial (default), 0 = one per hardware
-  /// thread, at most `util::TaskPool::kMaxWorkers`. Purely a performance
-  /// knob — reports are byte-identical for every value.
+  /// `engine.workers`: a no-op kept for compatibility. The engine is
+  /// single-threaded; the key is still parsed, range-checked (at most
+  /// `kMaxEngineWorkers`) and emitted by `to_config_string`, so older
+  /// configs and snapshots load and new snapshot files keep their bytes.
   std::uint64_t engine_workers = 1;
+  static constexpr std::uint64_t kMaxEngineWorkers = 256;
 
   /// Protocol parameters, exposed as `net.*` config keys.
   core::Params params = default_scenario_params();

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -28,12 +27,11 @@
 /// state is deserialized; the embedded spec makes a snapshot
 /// self-describing (`--load` needs no `--scenario`).
 ///
-/// The *body* is the canonical state encoding: deterministic, free of
-/// wall-clock values, and independent of `engine.workers` (a pure
-/// throughput knob, carried in the spec text only). Its SHA-256 —
-/// `state_hash()` — is therefore a replayable fingerprint of the entire
-/// simulation: equal specs and equal epochs give equal hashes on every
-/// machine, worker count, and save/load history, which is the invariant
+/// The *body* is the canonical state encoding: deterministic and free of
+/// wall-clock values. Its SHA-256 — `state_hash()` — is therefore a
+/// replayable fingerprint of the entire simulation: equal specs and equal
+/// epochs give equal hashes on every machine and save/load history, which
+/// is the invariant
 /// the CI golden-hashes job pins (`tests/golden/state_hashes.txt`).
 namespace fi::snapshot {
 
@@ -75,11 +73,8 @@ struct Snapshot {
 /// and the body keeps that buffer, so loading holds the image once.
 [[nodiscard]] util::Result<Snapshot> read_file(const std::string& path);
 
-/// `read_file` + `ScenarioRunner::resume`. `workers_override`, when set,
-/// replaces the saved `engine.workers` — the sweep merge is deterministic,
-/// so the continued run is byte-identical for every value.
+/// `read_file` + `ScenarioRunner::resume`.
 [[nodiscard]] util::Result<std::unique_ptr<scenario::ScenarioRunner>>
-resume_from_file(const std::string& path,
-                 std::optional<std::uint64_t> workers_override = {});
+resume_from_file(const std::string& path);
 
 }  // namespace fi::snapshot

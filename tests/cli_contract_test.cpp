@@ -107,7 +107,12 @@ TEST(FiSimCli, UsageErrorsExitTwo) {
   EXPECT_EQ(fi_sim("--scenario a.cfg --load b.fisnap").exit_code, 2);
   // Malformed --set (no '='), malformed numeric operand.
   EXPECT_EQ(fi_sim("--scenario a.cfg --set seed7").exit_code, 2);
-  EXPECT_EQ(fi_sim("--scenario a.cfg --workers lots").exit_code, 2);
+  EXPECT_EQ(fi_sim("--scenario a.cfg --save-at lots").exit_code, 2);
+  // --workers is gone (the engine is single-threaded): an unknown flag.
+  result = fi_sim("--scenario a.cfg --workers 4");
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_NE(result.err.find("unknown argument '--workers'"),
+            std::string::npos);
   // Checkpoint flags that contradict each other or lack --save.
   EXPECT_EQ(fi_sim("--scenario a.cfg --save-at 3").exit_code, 2);
   EXPECT_EQ(

@@ -208,10 +208,9 @@ scenario::ScenarioSpec small_spec() {
 TEST(IncrementalHashRunner, InvariantHoldsAtEveryEpochCheckpoint) {
   // The epoch callback is the checkpoint-safe point the snapshot layer
   // hooks; a persistent hasher there exercises the version counters across
-  // full proof-cycle batches, including the parallel sweep's merge-point
-  // version notes.
+  // full proof-cycle batches, including the proof scan's
+  // `note_sweep_writes` version notes.
   scenario::ScenarioSpec spec = small_spec();
-  spec.engine_workers = 4;
   scenario::ScenarioRunner runner(std::move(spec));
   IncrementalNetworkHasher hasher;
   std::uint64_t checkpoints = 0;

@@ -14,6 +14,7 @@
 #include "scenario/metrics.h"
 #include "scenario/runner.h"
 #include "scenario/spec.h"
+#include "snapshot/snapshot.h"
 #include "util/config.h"
 #include "util/prng.h"
 
@@ -165,17 +166,29 @@ TEST(ScenarioSpecTest, RejectsMalformedConfigs) {
   (void)spec_error(base + "net.avg_refresh = inf\n");
   // Out-of-range values for uint32 params must error, not wrap.
   (void)spec_error(base + "net.k = 4294967299\n");
-  // engine.workers: negative values fail the unsigned parse, absurd
-  // counts fail util::Config's range validation.
+  // engine.workers (a no-op, still range-checked): negative values fail
+  // the unsigned parse, absurd counts fail util::Config's range validation.
   (void)spec_error(base + "engine.workers = -1\n");
   (void)spec_error(base + "engine.workers = 100000\n");
   (void)spec_error(base + "engine.workers = four\n");
 }
 
 TEST(ScenarioSpecTest, EngineWorkersParsesAndRoundTrips) {
-  const auto config = Config::parse("sectors = 10\nengine.workers = 8\n");
-  ASSERT_TRUE(config.is_ok());
-  const auto spec = ScenarioSpec::from_config(config.value());
+  // `engine.workers` selects nothing (the engine is single-threaded) but
+  // is still parsed and emitted, so older configs and snapshots load: a
+  // config that sets it round-trips and runs to the same report bytes and
+  // state hash as one that omits it.
+  const std::string base =
+      "seed = 5\nsectors = 120\nsector_units = 4\ninitial_files = 150\n"
+      "file_size_min = 1024\nfile_size_max = 2048\nfile_value = 10\n"
+      "net.min_value = 10\nnet.k = 3\nnet.cap_para = 200\n"
+      "net.gamma_deposit = 0.01\nnet.avg_refresh = 3\n"
+      "phase.0.kind = churn\nphase.0.cycles = 3\nphase.0.adds_per_cycle = 20\n"
+      "phase.0.discard_fraction = 0.05\n"
+      "phase.1.kind = corrupt_burst\nphase.1.corrupt_fraction = 0.05\n"
+      "phase.1.cycles = 3\n";
+  const auto spec = ScenarioSpec::from_config(
+      Config::parse(base + "engine.workers = 8\n").value());
   ASSERT_TRUE(spec.is_ok()) << spec.status().to_string();
   EXPECT_EQ(spec.value().engine_workers, 8u);
 
@@ -188,7 +201,17 @@ TEST(ScenarioSpecTest, EngineWorkersParsesAndRoundTrips) {
   EXPECT_EQ(reparsed.value().engine_workers, 8u);
   EXPECT_EQ(reparsed.value().to_config_string(), text);
 
-  // 0 = one worker per hardware thread — a valid request.
+  const auto plain = ScenarioSpec::from_config(Config::parse(base).value());
+  ASSERT_TRUE(plain.is_ok()) << plain.status().to_string();
+  ScenarioRunner plain_run(plain.value());
+  ScenarioRunner keyed_run(reparsed.value());
+  const std::string report = plain_run.run().to_json(false);
+  EXPECT_EQ(keyed_run.run().to_json(false), report);
+  EXPECT_EQ(fi::snapshot::state_hash(keyed_run),
+            fi::snapshot::state_hash(plain_run));
+  EXPECT_GT(plain_run.network().stats().files_stored, 0u);
+
+  // 0 was "one worker per hardware thread"; configs that say so still load.
   const auto zero = ScenarioSpec::from_config(
       Config::parse("sectors = 10\nengine.workers = 0\n").value());
   ASSERT_TRUE(zero.is_ok());

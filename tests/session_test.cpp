@@ -199,6 +199,8 @@ TEST(SessionCheckpoint, FileBytesMatchMonolithicSaveAt) {
 }
 
 TEST(SessionResume, WorkerOverrideIsByteInvisible) {
+  // `engine.workers` is a no-op key: overriding it on resume (as a fork
+  // would) changes no report byte and no state hash.
   const scenario::ScenarioSpec spec = shrunk_spec("smoke.cfg");
   const RunOutcome mono = monolithic_run(spec);
 
@@ -210,7 +212,7 @@ TEST(SessionResume, WorkerOverrideIsByteInvisible) {
   }
 
   Session::OpenOptions options;
-  options.workers = 8;
+  options.overrides = {{"engine.workers", "8"}};
   auto resumed = Session::from_snapshot_file(path.string(), options);
   ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
   Session session = std::move(resumed).value();

@@ -396,12 +396,12 @@ scenario::ScenarioSpec net_condition_spec() {
 }
 
 TEST(NetModelScenario, ByteIdenticalAcrossWorkerCounts) {
-  // Latency, drops, partitions, and a crash-restart must all ride the
-  // deterministic sweep merge: the report and end-of-run state hash are a
-  // pure function of the spec, independent of engine.workers.
+  // Latency, drops, partitions, and a crash-restart: the report and
+  // end-of-run state hash are a pure function of the spec, and the no-op
+  // `engine.workers` key changes neither.
   std::string report_w1;
   std::string hash_w1;
-  for (const std::uint64_t workers : {1ull, 4ull, 16ull}) {
+  for (const std::uint64_t workers : {1ull, 8ull}) {
     scenario::ScenarioSpec spec = net_condition_spec();
     spec.engine_workers = workers;
     scenario::ScenarioRunner runner(std::move(spec));

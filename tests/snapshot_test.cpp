@@ -2,7 +2,7 @@
 // validation (truncation, corruption, wrong version), and the headline
 // invariant — for every shipped config shape, save at an epoch E, load,
 // and continue: the final report JSON and the canonical state hash must be
-// byte-identical to the uninterrupted run, at engine.workers 1 and 8.
+// byte-identical to the uninterrupted run.
 
 #include <gtest/gtest.h>
 
@@ -253,14 +253,16 @@ fs::path temp_snapshot_path(const std::string& tag) {
 }
 
 /// The headline invariant: run uninterrupted; run again saving at
-/// `save_epoch`; resume from the file (optionally at a different worker
-/// count) and finish. All three reports and both state hashes must match
-/// byte for byte.
+/// `save_epoch`; resume from the file and finish. All three reports and
+/// both state hashes must match byte for byte. `reference` is the spec of
+/// the uninterrupted run (default: `spec` itself).
 void expect_save_load_identity(const scenario::ScenarioSpec& spec,
                                std::uint64_t save_epoch,
-                               std::uint64_t resume_workers,
-                               const std::string& tag) {
-  const RunOutcome uninterrupted = run_to_completion(spec);
+                               const std::string& tag,
+                               const scenario::ScenarioSpec* reference =
+                                   nullptr) {
+  const RunOutcome uninterrupted =
+      run_to_completion(reference != nullptr ? *reference : spec);
 
   const fs::path path = temp_snapshot_path(tag);
   {
@@ -278,7 +280,7 @@ void expect_save_load_identity(const scenario::ScenarioSpec& spec,
   ASSERT_TRUE(fs::exists(path)) << tag << ": save_epoch " << save_epoch
                                 << " never reached";
 
-  auto resumed = snapshot::resume_from_file(path.string(), resume_workers);
+  auto resumed = snapshot::resume_from_file(path.string());
   ASSERT_TRUE(resumed.is_ok()) << tag << ": " << resumed.status().to_string();
   scenario::ScenarioRunner& runner = *resumed.value();
   EXPECT_EQ(runner.epoch(), save_epoch) << tag;
@@ -312,21 +314,21 @@ TEST(SnapshotRoundTrip, EveryShippedConfigAtSeveralEpochs) {
     const std::string name = config.stem().string();
     // Early (mid-attack for adversary configs: start_epoch is shrunk to
     // ≤1) and late save points.
-    expect_save_load_identity(spec, 2, 1, name + "_e2");
-    expect_save_load_identity(spec, epochs - 1, 1, name + "_late");
+    expect_save_load_identity(spec, 2, name + "_e2");
+    expect_save_load_identity(spec, epochs - 1, name + "_late");
   }
 }
 
 TEST(SnapshotRoundTrip, WorkerCountMayChangeAcrossResume) {
-  // Resuming a serial run with 8 sweep workers (and vice versa) must not
-  // perturb a single byte — the acceptance bar for `engine.workers` being
-  // a pure throughput knob.
+  // `engine.workers` is a no-op key that snapshots still carry in their
+  // embedded spec: a snapshot whose spec says 8 saves, resumes and
+  // finishes byte-identical to the run that never set it.
   for (const char* name : {"smoke.cfg", "colluding_pool.cfg"}) {
-    scenario::ScenarioSpec spec =
+    const scenario::ScenarioSpec plain =
         shrunk_spec(fs::path(FI_CONFIG_DIR) / name);
-    expect_save_load_identity(spec, 3, 8, std::string("w8_") + name);
-    spec.engine_workers = 8;
-    expect_save_load_identity(spec, 3, 1, std::string("w1_") + name);
+    scenario::ScenarioSpec keyed = plain;
+    keyed.engine_workers = 8;
+    expect_save_load_identity(keyed, 3, std::string("w8_") + name, &plain);
   }
 }
 
@@ -460,8 +462,9 @@ TEST_F(SnapshotFileTest, SpecTamperingIsRejectedByDigest) {
 }
 
 TEST_F(SnapshotFileTest, StateHashIsWorkerAndHistoryInvariant) {
-  // The same spec run to the same epoch has one canonical hash, no matter
-  // the worker count: the property the golden-hash CI gate relies on.
+  // The same spec run to the same epoch has one canonical hash, whatever
+  // the no-op `engine.workers` key says: the property the golden-hash CI
+  // gate relies on.
   auto hash_at_epoch_2 = [this](std::uint64_t workers) {
     scenario::ScenarioSpec spec = spec_;
     spec.engine_workers = workers;

@@ -364,14 +364,12 @@ TEST(TrafficDeterminismTest, ReportsAreByteIdenticalAcrossWorkerCounts) {
     spec.adversaries.push_back(AdversarySpec::make_cartel_starver(0.2, 0, 2));
     return spec;
   };
-  ScenarioRunner serial(spec_with_workers(1));
-  const std::string reference = serial.run().to_json(false);
+  ScenarioRunner plain(spec_with_workers(1));
+  const std::string reference = plain.run().to_json(false);
   EXPECT_NE(reference.find("\"traffic\""), std::string::npos);
-  for (const std::uint64_t workers : {4u, 16u}) {
-    ScenarioRunner parallel(spec_with_workers(workers));
-    EXPECT_EQ(reference, parallel.run().to_json(false))
-        << "worker drift at engine.workers = " << workers;
-  }
+  // `engine.workers` is a no-op key; setting it changes nothing.
+  ScenarioRunner keyed(spec_with_workers(8));
+  EXPECT_EQ(reference, keyed.run().to_json(false));
 }
 
 // ---- Snapshot round-trip ---------------------------------------------------
