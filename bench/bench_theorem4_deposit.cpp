@@ -5,6 +5,11 @@
 // the real protocol: register sectors at a given γ_deposit, store files,
 // corrupt half the capacity, run Auto_CheckProof to confiscation and
 // compensation, and report whether the pool covered every loss.
+//
+// Exits 1 when the closed form at λ = 0.5 does not round to the paper's
+// 0.0046, or when the run at the theorem's own γ (the 1.00x row) leaves a
+// loss uncovered or a liability outstanding. The rows far below the bound
+// are expected to say "no" and do not gate.
 
 #include <cmath>
 #include <cstdio>
@@ -105,8 +110,10 @@ int main() {
     std::printf("%8.1f %16.4f\n", lambda,
                 theorem4_deposit_ratio_bound(lambda, 20, 1e6, 1e3));
   }
-  std::printf("Paper's worked example: lambda=0.5 -> 0.0046 (matches row "
-              "above).\n");
+  const double paper_example = theorem4_deposit_ratio_bound(0.5, 20, 1e6, 1e3);
+  const bool example_matches = std::lround(paper_example * 1e4) == 46;
+  std::printf("Paper's worked example: lambda=0.5 -> 0.0046 (%s).\n",
+              example_matches ? "matches row above" : "MISMATCH");
 
   // End-to-end: sweep gamma around the bound computed for THIS network's
   // parameters (k=2, Ns=100, capPara=50).
@@ -119,6 +126,7 @@ int main() {
               "covered", "liabilities", "full?");
   // The k=2 bound is deliberately conservative (its λ^{k/2-1} term pins
   // γ >= 1), so coverage only fails far below it.
+  bool bound_covers = false;
   for (const double factor : {0.005, 0.02, 0.1, 1.0}) {
     const double gamma = bound * factor;
     double lost = 0.0, covered = 0.0;
@@ -132,12 +140,24 @@ int main() {
     }
     lost /= kTrials;
     covered /= kTrials;
+    const bool full = covered >= 0.999 && liabilities == 0;
+    if (factor == 1.0) bound_covers = full;
     std::printf("%10.4f (%3.2fx) %11.4f %12.3f %12llu %10s\n", gamma, factor,
                 lost, covered, static_cast<unsigned long long>(liabilities),
-                (covered >= 0.999 && liabilities == 0) ? "yes" : "no");
+                full ? "yes" : "no");
   }
   std::printf(
       "\nShape check: at and above the theorem's gamma the pool covers every\n"
       "loss with zero outstanding liability; far below it, coverage fails.\n");
+  if (!example_matches) {
+    std::printf("FAILED: the closed form at lambda=0.5 is %.6f, not the "
+                "paper's 0.0046\n", paper_example);
+    return 1;
+  }
+  if (!bound_covers) {
+    std::printf("FAILED: at the theorem's gamma the pool left a loss "
+                "uncovered or a liability outstanding\n");
+    return 1;
+  }
   return 0;
 }

@@ -35,7 +35,10 @@
 /// hooks for corruption injection.
 ///
 /// The engine tracks metadata only (sizes, commitments, balances); actual
-/// file bytes live with the off-chain actors in `core/agents.h`.
+/// file bytes live with the off-chain actors that drive it — the scenario
+/// runner in metadata mode, or a caller that seals and proves real bytes
+/// (`examples/quickstart.cpp`, `AgentsFixture` in
+/// tests/core_network_test.cpp).
 ///
 /// The engine is single-threaded: every request and every automatic task
 /// runs on the caller's thread, in pending-list order.

@@ -7,17 +7,16 @@
 #include "util/prng.h"
 #include "util/types.h"
 
-/// Serializable deterministic delivery substrate for the scenario engine.
+/// Serializable deterministic delivery substrate for the scenario engine —
+/// the repository's one network model.
 ///
-/// `sim::Network` (network.h) is the closure-based model used by agent
-/// tests; its handlers cannot be serialized, so it cannot live inside a
-/// snapshot. `NetModel` is the scenario-grade replacement: typed messages
-/// in a flat min-heap keyed `(deliver_at, seq)` — the same order-is-state
-/// tie-break discipline as `EventQueue` and the protocol pending list — a
-/// private seeded RNG for latency/loss draws, and per-region partition and
-/// outage flags. Everything mutable has a canonical little-endian encoding
-/// (`save_state`/`load_state`), so a resumed run delivers byte-identically
-/// to an uninterrupted one, in-flight messages included.
+/// Typed messages sit in a flat min-heap keyed `(deliver_at, seq)` — the
+/// same order-is-state tie-break discipline as the protocol pending list —
+/// with a private seeded RNG for latency/loss draws, and per-region
+/// partition and outage flags. Everything mutable has a canonical
+/// little-endian encoding (`save_state`/`load_state`), so a resumed run
+/// delivers byte-identically to an uninterrupted one, in-flight messages
+/// included.
 ///
 /// Topology: providers live in regional subnets; sector `s` belongs to
 /// region `s % regions`. Clients (upload senders) sit on a backbone that is

@@ -4,7 +4,7 @@
 #include <span>
 #include <string_view>
 
-#include "crypto/sha256_batch.h"
+#include "crypto/sha256.h"
 #include "util/binary_io.h"
 #include "util/check.h"
 
@@ -23,20 +23,16 @@ crypto::Hash256 IncrementalNetworkHasher::component_subtree(
   net.save_state_component(component, writer);
   const std::span<const std::uint8_t> encoding(writer.data());
 
-  // Chunk digests through the lane kernel: all chunks except the last are
-  // kIncrementalChunkBytes, so a large component fills whole lane groups.
   const std::size_t chunks =
       encoding.empty() ? 1 : (encoding.size() + kIncrementalChunkBytes - 1) /
                                  kIncrementalChunkBytes;
   std::vector<crypto::Digest> chunk_digests(chunks);
-  crypto::Sha256Batch batch;
   for (std::size_t i = 0; i < chunks; ++i) {
     const std::size_t off = i * kIncrementalChunkBytes;
     const std::size_t len =
         std::min(kIncrementalChunkBytes, encoding.size() - off);
-    batch.add(encoding.subspan(off, len), &chunk_digests[i]);
+    chunk_digests[i] = crypto::sha256(encoding.subspan(off, len));
   }
-  batch.flush();
 
   // Subtree digest: domain || component index || byte length || chunk
   // digests. The index separates components with identical encodings; the

@@ -30,10 +30,9 @@
 /// outlives its network and is never serialized.
 namespace fi::snapshot {
 
-/// Component re-encodings are split into chunks of this size and the chunk
-/// digests computed through the multi-lane SHA-256 batch kernel; equal-size
-/// chunks fill vector lanes, so big components hash several chunks per
-/// compression round.
+/// Component re-encodings are split into chunks of this size; each chunk
+/// gets its own SHA-256 digest, and the digests fold into the component's
+/// subtree digest.
 inline constexpr std::size_t kIncrementalChunkBytes = 8 * 1024;
 
 class IncrementalNetworkHasher {

@@ -4,8 +4,9 @@
 #include <limits>
 #include <vector>
 
-/// Streaming statistics used by the benchmark harnesses and property tests
-/// (capacity-usage maxima for Table III, loss ratios for Theorem 3, etc.).
+/// Streaming statistics: running mean/variance, fixed-bin histograms and a
+/// chi-squared statistic. Only the property and component tests use them;
+/// no bench, tool or engine code does.
 namespace fi::util {
 
 /// Welford-style running mean/variance with min/max tracking.

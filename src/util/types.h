@@ -9,8 +9,9 @@
 /// and in the closed-form theorem bounds.
 namespace fi {
 
-/// Simulated time, in abstract ticks. The discrete-event scheduler
-/// (`fi::sim::EventQueue`) and the protocol pending list share this clock.
+/// Simulated time, in abstract ticks. The protocol pending list
+/// (`core::PendingList`) and the delivery model (`sim::NetModel`) share
+/// this clock.
 using Time = std::uint64_t;
 
 /// Sentinel for "no timestamp" (the paper's `last = -1`).

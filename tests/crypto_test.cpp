@@ -293,6 +293,17 @@ TEST(Merkle, OddLeafCountDuplicatesLast) {
   EXPECT_EQ(tree.root(), hash_pair("fi/merkle/node", left, right));
 }
 
+TEST(Merkle, MultiBlockRootIsPinned) {
+  // Known answer over 37 full blocks and a 5-byte tail (38 leaves, so
+  // several odd levels): any change to block splitting, leaf or node
+  // hashing, or odd-level duplication moves this root.
+  util::Xoshiro256 rng(2026);
+  std::vector<std::uint8_t> data(37 * kMerkleBlockSize + 5);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  EXPECT_EQ(merkle_root_of_data(data).hex(),
+            "8de3a87f45d1ed075cce5061a50d039c7edf0e21e05a32e17aef91a17ac2419a");
+}
+
 TEST(Merkle, LeafVsInteriorDomainSeparation) {
   // A leaf hash can never be confused with an interior node hash because
   // they use distinct domains.

@@ -4,7 +4,7 @@
 
 #include "analysis/bounds.h"
 #include "analysis/planner.h"
-#include "core/agents.h"
+#include "core/network.h"
 #include "core/reputation.h"
 #include "core/retrieval_market.h"
 #include "ledger/account.h"
@@ -72,42 +72,6 @@ TEST_F(MarketFixture, SettleFailsWithoutFundsAndRecordsNothing) {
             util::ErrorCode::insufficient_funds);
   EXPECT_EQ(market.bytes_served(pricey), 0u);
   EXPECT_EQ(market.retrievals_settled(), 0u);
-}
-
-TEST(MarketIntegration, RetrievalGoesToTheCheapestHolder) {
-  Params p;
-  p.min_capacity = 8 * 1024;
-  p.min_value = 10;
-  p.k = 2;
-  p.cap_para = 20.0;
-  p.gamma_deposit = 0.2;
-  p.delay_per_kib = 5;
-  p.min_transfer_window = 5;
-  p.verify_proofs = true;
-  p.seal = {.work = 1, .challenges = 2};
-  p.cr_size = 2048;
-  Simulation sim(p, 77);
-  ClientAgent& client = sim.add_client(1'000'000);
-  ProviderAgent& a = sim.add_provider(10'000'000);
-  ProviderAgent& b = sim.add_provider(10'000'000);
-  ASSERT_TRUE(a.register_sector(4 * 8 * 1024).is_ok());
-  ASSERT_TRUE(b.register_sector(4 * 8 * 1024).is_ok());
-  a.set_retrieval_price(1);
-  b.set_retrieval_price(9);
-
-  std::vector<std::uint8_t> data(3000, 0x2a);
-  auto file = client.store_file(data, 10);  // cp=2: one replica per provider
-  ASSERT_TRUE(file.is_ok());
-  sim.run_until(200);
-
-  bool ok = false;
-  client.retrieve(file.value(), [&](bool success) { ok = success; });
-  sim.run_until(400);
-  ASSERT_TRUE(ok);
-  // The cheap provider served and earned at its own ask.
-  EXPECT_GT(sim.market().bytes_served(a.account()), 0u);
-  EXPECT_EQ(sim.market().bytes_served(b.account()), 0u);
-  EXPECT_EQ(sim.market().revenue(a.account()), 3u);  // 3 KiB * 1
 }
 
 // ---------------------------------------------------------------------------

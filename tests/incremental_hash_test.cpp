@@ -20,6 +20,7 @@
 #include "scenario/spec.h"
 #include "snapshot/incremental_hash.h"
 #include "snapshot/snapshot.h"
+#include "util/binary_io.h"
 #include "util/config.h"
 
 namespace fi {
@@ -183,6 +184,30 @@ TEST_F(IncrementalHashFixture, ComponentDigestsDistinguishComponents) {
           << "components " << a << " and " << b;
     }
   }
+}
+
+TEST_F(IncrementalHashFixture, FullFingerprintIsPinned) {
+  // Known answer for a small fixed network whose allocation component
+  // spans several chunks, so chunking, chunk digests and the subtree fold
+  // are all pinned, not just self-consistent.
+  for (const core::ProviderId p : providers) {
+    ASSERT_TRUE(net->sector_register(p, 64 * 1024).is_ok());
+  }
+  for (int i = 0; i < 200; ++i) {
+    auto file = net->file_add(client, {100, 10, {}});
+    ASSERT_TRUE(file.is_ok()) << file.status().to_string();
+    confirm_all(file.value());
+  }
+  net->advance_to(net->now() + 3 * params.proof_cycle);
+
+  util::BinaryWriter allocations;
+  net->save_state_component(Network::StateComponent::allocations,
+                            allocations);
+  ASSERT_GT(allocations.data().size(), snapshot::kIncrementalChunkBytes);
+  EXPECT_EQ(IncrementalNetworkHasher::full_fingerprint(*net).hex(),
+            "16c0f0f65e3de4560136b892a49630891eb9e0221aaa82bf7b2b5346babe942f");
+  EXPECT_EQ(hasher.fingerprint(*net),
+            IncrementalNetworkHasher::full_fingerprint(*net));
 }
 
 // ---------------------------------------------------------------------------

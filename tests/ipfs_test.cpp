@@ -2,11 +2,8 @@
 
 #include <vector>
 
-#include "ipfs/bitswap.h"
 #include "ipfs/cid.h"
 #include "ipfs/content_store.h"
-#include "ipfs/dht.h"
-#include "ipfs/merkle_dag.h"
 #include "util/prng.h"
 
 namespace fi::ipfs {
@@ -53,213 +50,6 @@ TEST(ContentStore, DeduplicatesIdenticalBlocks) {
   store.put(Codec::raw, random_bytes(64, 5));
   EXPECT_EQ(store.block_count(), 1u);
   EXPECT_EQ(store.total_bytes(), 64u);
-}
-
-// ---------------------------------------------------------------------------
-// Merkle DAG
-// ---------------------------------------------------------------------------
-
-TEST(MerkleDag, FileRoundTripAcrossShapes) {
-  for (std::size_t size : {0u, 1u, 1023u, 1024u, 1025u, 8192u, 100'000u}) {
-    ContentStore store;
-    const auto data = random_bytes(size, 10 + size);
-    const Cid root = dag_put_file(store, data, {.chunk_size = 1024, .fanout = 4});
-    const auto back = dag_get_file(store, root);
-    ASSERT_TRUE(back.is_ok()) << "size=" << size;
-    EXPECT_EQ(back.value(), data) << "size=" << size;
-  }
-}
-
-TEST(MerkleDag, IdenticalContentSharesBlocks) {
-  ContentStore store;
-  const auto data = random_bytes(10'000, 11);
-  const Cid r1 = dag_put_file(store, data);
-  const std::size_t blocks_after_first = store.block_count();
-  const Cid r2 = dag_put_file(store, data);
-  EXPECT_EQ(r1, r2);
-  EXPECT_EQ(store.block_count(), blocks_after_first);
-}
-
-TEST(MerkleDag, MissingBlockFailsRetrieval) {
-  ContentStore store;
-  const auto data = random_bytes(10'000, 12);
-  const Cid root = dag_put_file(store, data, {.chunk_size = 512, .fanout = 4});
-  const auto cids = dag_enumerate(store, root);
-  ASSERT_TRUE(cids.is_ok());
-  ASSERT_GT(cids.value().size(), 2u);
-  // Remove one leaf from the middle.
-  store.remove(cids.value()[cids.value().size() / 2]);
-  EXPECT_FALSE(dag_get_file(store, root).is_ok());
-}
-
-TEST(MerkleDag, NodeSerializationRoundTrip) {
-  DagNode node;
-  node.subtree_bytes = 12345;
-  node.children.push_back(make_cid(Codec::raw, random_bytes(8, 13)));
-  node.children.push_back(make_cid(Codec::dag_node, random_bytes(8, 14)));
-  const auto back = DagNode::deserialize(node.serialize());
-  ASSERT_TRUE(back.is_ok());
-  EXPECT_EQ(back.value().subtree_bytes, 12345u);
-  EXPECT_EQ(back.value().children, node.children);
-}
-
-TEST(MerkleDag, MalformedNodeRejected) {
-  EXPECT_FALSE(DagNode::deserialize({1, 2, 3}).is_ok());
-  DagNode node;
-  node.children.push_back(make_cid(Codec::raw, random_bytes(8, 15)));
-  auto bytes = node.serialize();
-  bytes.pop_back();
-  EXPECT_FALSE(DagNode::deserialize(bytes).is_ok());
-}
-
-// ---------------------------------------------------------------------------
-// DHT
-// ---------------------------------------------------------------------------
-
-TEST(DhtTest, FindsProvidersAcrossTheNetwork) {
-  Dht dht(8);
-  for (std::uint64_t n = 0; n < 100; ++n) dht.join(n);
-  const Cid cid = make_cid(Codec::raw, random_bytes(100, 20));
-  dht.provide(42, cid);
-  dht.provide(17, cid);
-  for (std::uint64_t from : {0ull, 55ull, 99ull}) {
-    const auto result = dht.find_providers(from, cid);
-    EXPECT_EQ(result.providers, (std::vector<std::uint64_t>{17, 42}))
-        << "from=" << from;
-  }
-}
-
-TEST(DhtTest, LookupHopsAreLogarithmic) {
-  Dht dht(8);
-  for (std::uint64_t n = 0; n < 500; ++n) dht.join(n);
-  const Cid cid = make_cid(Codec::raw, random_bytes(100, 21));
-  dht.provide(3, cid);
-  const auto result = dht.find_providers(450, cid);
-  EXPECT_FALSE(result.providers.empty());
-  // Far below a linear scan of 500 peers.
-  EXPECT_LT(result.hops, 60u);
-}
-
-TEST(DhtTest, UnknownKeyReturnsNoProviders) {
-  Dht dht(4);
-  for (std::uint64_t n = 0; n < 30; ++n) dht.join(n);
-  const Cid cid = make_cid(Codec::raw, random_bytes(100, 22));
-  EXPECT_TRUE(dht.find_providers(0, cid).providers.empty());
-}
-
-TEST(DhtTest, RecordsReplicatedAcrossKClosest) {
-  // Records survive single-holder departure thanks to k-replication.
-  Dht dht(8);
-  for (std::uint64_t n = 0; n < 60; ++n) dht.join(n);
-  const Cid cid = make_cid(Codec::raw, random_bytes(100, 23));
-  dht.provide(7, cid);
-  // Remove two arbitrary peers (possibly record holders).
-  dht.leave(11);
-  dht.leave(29);
-  const auto result = dht.find_providers(50, cid);
-  EXPECT_EQ(result.providers, (std::vector<std::uint64_t>{7}));
-}
-
-TEST(DhtTest, XorDistanceIsAMetric) {
-  const PeerId a = peer_id_from_node(1);
-  const PeerId b = peer_id_from_node(2);
-  EXPECT_EQ(xor_distance(a, a), XorDistance{});
-  EXPECT_EQ(xor_distance(a, b), xor_distance(b, a));
-}
-
-// ---------------------------------------------------------------------------
-// BitSwap over the simulated network
-// ---------------------------------------------------------------------------
-
-struct BitswapNode {
-  ContentStore store;
-  std::unique_ptr<BitswapEngine> engine;
-};
-
-TEST(Bitswap, FetchesWholeDagFromPeer) {
-  sim::EventQueue queue;
-  sim::Network net(queue, 7);
-  BitswapNode alice, bob;
-  const sim::NodeId na = net.add_node(
-      [&](const sim::Message& m) { alice.engine->handle(m); });
-  const sim::NodeId nb = net.add_node(
-      [&](const sim::Message& m) { bob.engine->handle(m); });
-  alice.engine = std::make_unique<BitswapEngine>(net, na, alice.store);
-  bob.engine = std::make_unique<BitswapEngine>(net, nb, bob.store);
-
-  const auto data = random_bytes(20'000, 30);
-  const Cid root =
-      dag_put_file(bob.store, data, {.chunk_size = 1024, .fanout = 4});
-
-  bool done = false, ok = false;
-  alice.engine->fetch_dag(nb, root, [&](const Cid& r, bool complete) {
-    done = true;
-    ok = complete;
-    EXPECT_EQ(r, root);
-  });
-  queue.run_all();
-  ASSERT_TRUE(done);
-  ASSERT_TRUE(ok);
-  const auto back = dag_get_file(alice.store, root);
-  ASSERT_TRUE(back.is_ok());
-  EXPECT_EQ(back.value(), data);
-  // Traffic ledger: bob sent at least the file size to alice.
-  EXPECT_GE(bob.engine->bytes_sent_to(na), data.size());
-  EXPECT_GE(alice.engine->bytes_received_from(nb), data.size());
-}
-
-TEST(Bitswap, MissingBlockReportsIncomplete) {
-  sim::EventQueue queue;
-  sim::Network net(queue, 8);
-  BitswapNode alice, bob;
-  const sim::NodeId na = net.add_node(
-      [&](const sim::Message& m) { alice.engine->handle(m); });
-  const sim::NodeId nb = net.add_node(
-      [&](const sim::Message& m) { bob.engine->handle(m); });
-  alice.engine = std::make_unique<BitswapEngine>(net, na, alice.store);
-  bob.engine = std::make_unique<BitswapEngine>(net, nb, bob.store);
-
-  const auto data = random_bytes(8000, 31);
-  const Cid root =
-      dag_put_file(bob.store, data, {.chunk_size = 512, .fanout = 4});
-  const auto cids = dag_enumerate(bob.store, root);
-  ASSERT_TRUE(cids.is_ok());
-  bob.store.remove(cids.value().back());  // bob lost one leaf
-
-  bool done = false, ok = true;
-  alice.engine->fetch_dag(nb, root, [&](const Cid&, bool complete) {
-    done = true;
-    ok = complete;
-  });
-  queue.run_all();
-  EXPECT_TRUE(done);
-  EXPECT_FALSE(ok);
-}
-
-TEST(Bitswap, ServesWantsFromLocalStore) {
-  sim::EventQueue queue;
-  sim::Network net(queue, 9);
-  BitswapNode alice, bob;
-  const sim::NodeId na = net.add_node(
-      [&](const sim::Message& m) { alice.engine->handle(m); });
-  const sim::NodeId nb = net.add_node(
-      [&](const sim::Message& m) { bob.engine->handle(m); });
-  alice.engine = std::make_unique<BitswapEngine>(net, na, alice.store);
-  bob.engine = std::make_unique<BitswapEngine>(net, nb, bob.store);
-
-  // Alice already has the file: fetch completes without network bytes of
-  // payload flowing from bob.
-  const auto data = random_bytes(5000, 32);
-  const Cid root = dag_put_file(alice.store, data);
-  dag_put_file(bob.store, data);
-
-  bool ok = false;
-  alice.engine->fetch_dag(nb, root, [&](const Cid&, bool complete) {
-    ok = complete;
-  });
-  queue.run_all();
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(alice.engine->bytes_received_from(nb), 0u);
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include "ledger/account.h"
 #include "ledger/chain.h"
 #include "ledger/consensus.h"
-#include "ledger/gas.h"
 #include "util/prng.h"
 
 namespace fi::ledger {
@@ -76,20 +75,6 @@ TEST(Accounts, SupplyConservedUnderTransferStorm) {
   for (AccountId a : accounts) total += ledger.balance(a);
   EXPECT_EQ(total, 20'000u);
   EXPECT_EQ(ledger.total_supply(), 20'000u);
-}
-
-// ---------------------------------------------------------------------------
-// Gas
-// ---------------------------------------------------------------------------
-
-TEST(Gas, MeterTracksAndLimits) {
-  GasMeter meter(10);
-  EXPECT_TRUE(meter.consume(4));
-  EXPECT_TRUE(meter.consume(6));
-  EXPECT_EQ(meter.used(), 10u);
-  EXPECT_FALSE(meter.exhausted());
-  EXPECT_FALSE(meter.consume(1));
-  EXPECT_TRUE(meter.exhausted());
 }
 
 // ---------------------------------------------------------------------------

@@ -183,6 +183,12 @@ TEST_P(ProtocolFuzz, InvariantsHoldUnderRandomOperations) {
     sectors.push_back(s.value());
   }
   const TokenAmount initial_supply = ledger.total_supply();
+  std::map<core::FileId, int> lost_events;
+  net.subscribe([&](const core::Event& e) {
+    if (const auto* lost = std::get_if<core::FileLost>(&e)) {
+      ++lost_events[lost->file];
+    }
+  });
 
   auto confirm_everything = [&] {
     for (core::FileId f : files) {
@@ -299,6 +305,31 @@ TEST_P(ProtocolFuzz, InvariantsHoldUnderRandomOperations) {
       total_deposits += net.deposits().remaining(s);
     }
     ASSERT_EQ(net.deposits().escrow_balance(), total_deposits);
+
+    // 5. A file is lost at most once and is gone afterwards; every lost
+    //    token is either compensated or an outstanding liability.
+    for (const auto& [file, count] : lost_events) {
+      ASSERT_EQ(count, 1) << "file " << file << " seed " << seed;
+      ASSERT_FALSE(net.file_exists(file));
+    }
+    ASSERT_EQ(net.stats().value_lost,
+              net.deposits().total_compensated() +
+                  net.deposits().outstanding_liabilities())
+        << "step " << step << " seed " << seed;
+
+    // 6. No live replica claims to be healthy in a corrupted sector.
+    for (core::FileId f : files) {
+      if (!net.file_exists(f)) continue;
+      for (core::ReplicaIndex i = 0;
+           i < net.allocations().replica_count(f); ++i) {
+        const core::AllocEntry& e = net.allocations().entry(f, i);
+        if (e.state == core::AllocState::normal) {
+          ASSERT_NE(net.sectors().at(e.prev).state,
+                    core::SectorState::corrupted)
+              << "file " << f << " replica " << i << " seed " << seed;
+        }
+      }
+    }
   }
 
   // Losses (if any) were compensated up to pool capacity.

@@ -5,192 +5,12 @@
 
 #include "scenario/runner.h"
 #include "scenario/spec.h"
-#include "sim/event_queue.h"
 #include "sim/net_model.h"
-#include "sim/network.h"
 #include "snapshot/snapshot.h"
 #include "util/binary_io.h"
 
 namespace fi::sim {
 namespace {
-
-// ---------------------------------------------------------------------------
-// EventQueue
-// ---------------------------------------------------------------------------
-
-TEST(EventQueue, RunsInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(30, [&] { order.push_back(3); });
-  q.schedule_at(10, [&] { order.push_back(1); });
-  q.schedule_at(20, [&] { order.push_back(2); });
-  q.run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(q.now(), 30u);
-}
-
-TEST(EventQueue, StableOrderWithinTimestamp) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.schedule_at(5, [&order, i] { order.push_back(i); });
-  }
-  q.run_all();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(EventQueue, RunUntilStopsAtDeadline) {
-  EventQueue q;
-  int ran = 0;
-  q.schedule_at(10, [&] { ++ran; });
-  q.schedule_at(20, [&] { ++ran; });
-  q.schedule_at(30, [&] { ++ran; });
-  q.run_until(20);
-  EXPECT_EQ(ran, 2);
-  EXPECT_EQ(q.now(), 20u);
-  EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  int ran = 0;
-  const auto id = q.schedule_at(10, [&] { ++ran; });
-  q.schedule_at(10, [&] { ++ran; });
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));  // already cancelled
-  q.run_all();
-  EXPECT_EQ(ran, 1);
-}
-
-TEST(EventQueue, EventsCanScheduleEvents) {
-  EventQueue q;
-  std::vector<Time> fire_times;
-  std::function<void()> recurring = [&] {
-    fire_times.push_back(q.now());
-    if (fire_times.size() < 5) q.schedule_after(10, recurring);
-  };
-  q.schedule_at(0, recurring);
-  q.run_all();
-  EXPECT_EQ(fire_times, (std::vector<Time>{0, 10, 20, 30, 40}));
-}
-
-TEST(EventQueue, SchedulingInPastThrows) {
-  EventQueue q;
-  q.schedule_at(10, [] {});
-  q.run_all();
-  EXPECT_THROW(q.schedule_at(5, [] {}), util::InvariantViolation);
-}
-
-TEST(EventQueue, NextEventTimeSkipsCancelled) {
-  EventQueue q;
-  const auto id = q.schedule_at(5, [] {});
-  q.schedule_at(9, [] {});
-  EXPECT_EQ(q.next_event_time(), 5u);
-  q.cancel(id);
-  EXPECT_EQ(q.next_event_time(), 9u);
-}
-
-TEST(EventQueue, RunAllGuardsAgainstRunaway) {
-  EventQueue q;
-  std::function<void()> forever = [&] { q.schedule_after(1, forever); };
-  q.schedule_at(0, forever);
-  EXPECT_THROW(q.run_all(1000), util::InvariantViolation);
-}
-
-// ---------------------------------------------------------------------------
-// Network
-// ---------------------------------------------------------------------------
-
-struct Inbox {
-  std::vector<Message> messages;
-  Network::Handler handler() {
-    return [this](const Message& m) { messages.push_back(m); };
-  }
-};
-
-TEST(SimNetwork, DeliversWithLatency) {
-  EventQueue q;
-  Network net(q, 1);
-  Inbox a, b;
-  const NodeId na = net.add_node(a.handler());
-  const NodeId nb = net.add_node(b.handler());
-  net.set_default_link({.base_latency = 7, .ticks_per_kib = 0});
-  net.send({na, nb, "ping", {}, 1});
-  q.run_all();
-  ASSERT_EQ(b.messages.size(), 1u);
-  EXPECT_EQ(b.messages[0].kind, "ping");
-  EXPECT_EQ(q.now(), 7u);
-}
-
-TEST(SimNetwork, BandwidthScalesWithPayload) {
-  EventQueue q;
-  Network net(q, 1);
-  Inbox a, b;
-  const NodeId na = net.add_node(a.handler());
-  const NodeId nb = net.add_node(b.handler());
-  net.set_default_link({.base_latency = 1, .ticks_per_kib = 2});
-  net.send({na, nb, "data", std::vector<std::uint8_t>(4096, 0), 1});
-  q.run_all();
-  EXPECT_EQ(q.now(), 1u + 2u * 4u);
-}
-
-TEST(SimNetwork, PerLinkProfileOverridesDefault) {
-  EventQueue q;
-  Network net(q, 1);
-  Inbox a, b;
-  const NodeId na = net.add_node(a.handler());
-  const NodeId nb = net.add_node(b.handler());
-  net.set_default_link({.base_latency = 100, .ticks_per_kib = 0});
-  net.set_link(na, nb, {.base_latency = 3, .ticks_per_kib = 0});
-  net.send({na, nb, "fast", {}, 1});
-  q.run_all();
-  EXPECT_EQ(q.now(), 3u);
-}
-
-TEST(SimNetwork, DownNodeDropsTraffic) {
-  EventQueue q;
-  Network net(q, 1);
-  Inbox a, b;
-  const NodeId na = net.add_node(a.handler());
-  const NodeId nb = net.add_node(b.handler());
-  net.set_node_down(nb, true);
-  net.send({na, nb, "lost", {}, 1});
-  q.run_all();
-  EXPECT_TRUE(b.messages.empty());
-  EXPECT_EQ(net.messages_dropped(), 1u);
-  net.set_node_down(nb, false);
-  net.send({na, nb, "found", {}, 2});
-  q.run_all();
-  EXPECT_EQ(b.messages.size(), 1u);
-}
-
-TEST(SimNetwork, CrashAfterSendDropsInFlight) {
-  EventQueue q;
-  Network net(q, 1);
-  Inbox a, b;
-  const NodeId na = net.add_node(a.handler());
-  const NodeId nb = net.add_node(b.handler());
-  net.set_default_link({.base_latency = 10, .ticks_per_kib = 0});
-  net.send({na, nb, "in-flight", {}, 1});
-  net.set_node_down(nb, true);  // crashes before delivery
-  q.run_all();
-  EXPECT_TRUE(b.messages.empty());
-}
-
-TEST(SimNetwork, LossyLinkDropsApproximatelyAtRate) {
-  EventQueue q;
-  Network net(q, 99);
-  Inbox a, b;
-  const NodeId na = net.add_node(a.handler());
-  const NodeId nb = net.add_node(b.handler());
-  net.set_default_link(
-      {.base_latency = 1, .ticks_per_kib = 0, .drop_probability = 0.3});
-  for (int i = 0; i < 2000; ++i) {
-    net.send({na, nb, "maybe", {}, static_cast<std::uint64_t>(i)});
-  }
-  q.run_all();
-  EXPECT_NEAR(static_cast<double>(b.messages.size()) / 2000.0, 0.7, 0.04);
-}
 
 // ---------------------------------------------------------------------------
 // NetModel — the serializable scenario-grade delivery substrate
@@ -206,8 +26,8 @@ std::vector<TransferMessage> drain_due(NetModel& model, Time now) {
 
 TEST(NetModel, SameTimestampPopsInSendOrder) {
   // The (deliver_at, seq) tie-break: messages due at the same tick pop in
-  // FIFO send order, exactly like EventQueue events and the protocol
-  // pending list — delivery order is state, so it must be canonical.
+  // FIFO send order, exactly like the protocol pending list — delivery
+  // order is state, so it must be canonical.
   NetConfig config;  // all-zero: every message due at its send time
   NetModel model(config, 7);
   for (std::uint64_t i = 0; i < 10; ++i) {
@@ -271,6 +91,36 @@ TEST(NetModel, SameSeedReproducesDeliverySequence) {
   EXPECT_EQ(a.sent(), 500u);
   EXPECT_EQ(a.dropped_loss(), b.dropped_loss());
   EXPECT_GT(a.dropped_loss(), 0u);
+}
+
+TEST(NetModel, LatencyAddsBaseRegionCrossingAndBandwidth) {
+  const NetConfig config{.regions = 2,
+                         .base_latency = 3,
+                         .region_latency = 5,
+                         .ticks_per_kib = 2};
+  NetModel model(config, 7);
+  // Intra-region, no payload: base latency only.
+  model.send(10, 0, {.file = 1, .from_sector = 0, .to_sector = 2});
+  EXPECT_EQ(model.next_delivery_time(), 13u);
+  ASSERT_EQ(drain_due(model, 13).size(), 1u);
+  // Crossing regions with 4097 bytes (5 KiB, rounded up): 3 + 5 + 2 * 5.
+  model.send(20, 4097, {.file = 2, .from_sector = 0, .to_sector = 1});
+  EXPECT_EQ(model.next_delivery_time(), 38u);
+  EXPECT_TRUE(drain_due(model, 37).empty());
+  ASSERT_EQ(drain_due(model, 38).size(), 1u);
+  EXPECT_EQ(model.region_latency_max(1), 18u);
+}
+
+TEST(NetModel, LossyLinkDropsApproximatelyAtRate) {
+  NetConfig config;
+  config.drop_probability = 0.3;
+  NetModel model(config, 99);
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    model.send(0, 0, {.file = i, .to_sector = 0, .deadline = 10});
+  }
+  const auto delivered = drain_due(model, 0);
+  EXPECT_EQ(delivered.size() + model.dropped_loss(), 2000u);
+  EXPECT_NEAR(static_cast<double>(delivered.size()) / 2000.0, 0.7, 0.04);
 }
 
 TEST(NetModel, PartitionKeepsIntraRegionLinks) {
