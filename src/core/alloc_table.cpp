@@ -85,9 +85,7 @@ AllocTable::SweepView AllocTable::sweep_view_of(FileId file) {
   SweepView view;
   view.state_ = state_.data() + range.offset;
   view.prev_ = prev_.data() + range.offset;
-  view.next_ = next_.data() + range.offset;
   view.last_ = last_.data() + range.offset;
-  view.comm_r_ = comm_r_.data() + range.offset;
   view.count_ = range.count;
   return view;
 }

@@ -60,35 +60,30 @@ struct EntryKeyHash {
 
 class AllocTable {
  public:
-  /// Mutable per-file window over the slab for the engine's proof scan:
-  /// one hash lookup yields direct array access to all of a file's
-  /// replicas (contiguous slots).
+  /// Mutable per-file window over the slab for Auto_CheckProof: one hash
+  /// lookup yields direct array access to all of a file's replicas
+  /// (contiguous slots).
   ///
-  /// A view may write ONLY `last`; prev/next/state/comm_r are coupled to
-  /// the reverse indexes and the normal-entry sampler and must go through
-  /// the setters below. Invalidated by any structural mutation
-  /// (create/remove_file, set_prev/next/state).
+  /// A view may write ONLY `last`; prev/state are coupled to the reverse
+  /// indexes and the normal-entry sampler and must go through the setters
+  /// below. The setters write the same arrays, so reads through a view see
+  /// their effect. The view dangles after `create_file` (the slab may
+  /// grow), `remove_file` of its file, or `load`.
   class SweepView {
    public:
     [[nodiscard]] std::uint32_t size() const { return count_; }
     [[nodiscard]] AllocState state(ReplicaIndex i) const { return state_[i]; }
     [[nodiscard]] SectorId prev(ReplicaIndex i) const { return prev_[i]; }
-    [[nodiscard]] SectorId next(ReplicaIndex i) const { return next_[i]; }
     [[nodiscard]] Time last(ReplicaIndex i) const { return last_[i]; }
-    [[nodiscard]] const crypto::Hash256& comm_r(ReplicaIndex i) const {
-      return comm_r_[i];
-    }
     /// The one sanctioned write through a view. Does NOT bump the table's
-    /// version — the caller calls `note_sweep_writes` after the scan.
+    /// version — the caller calls `note_sweep_writes` afterwards.
     void set_last(ReplicaIndex i, Time t) { last_[i] = t; }
 
    private:
     friend class AllocTable;
     const AllocState* state_ = nullptr;
     const SectorId* prev_ = nullptr;
-    const SectorId* next_ = nullptr;
     Time* last_ = nullptr;
-    const crypto::Hash256* comm_r_ = nullptr;
     std::uint32_t count_ = 0;
   };
 

@@ -432,71 +432,62 @@ void Network::auto_check_alloc(FileId file) {
 }
 
 void Network::auto_check_proof(FileId file) {
-  // Scan + apply; the hazard body takes over when a replica breached
-  // ProofDeadline (sector confiscation).
-  ProofScan scan;
-  scan_check_proof(file, scan);
-  alloc_table_.note_sweep_writes();
-  if (scan.any_breach) {
-    check_proof_hazard(file);
-  } else {
-    apply_check_proof(file, scan);
-  }
-}
-
-void Network::scan_check_proof(FileId file, ProofScan& out) {
-  // Reads shared tables and writes only this file's entries' proof stamps
-  // (through the slab view, which skips the version bump; the caller
-  // accounts for them with `note_sweep_writes`).
-  out.rec = nullptr;
-  out.all_corrupted = true;
-  out.any_breach = false;
-  out.late.clear();
   const auto it = files_.find(file);
   if (it == files_.end()) return;
-  out.rec = &it->second;
+  FileRecord& rec = it->second;
 
+  // Fig. 8: charge the next cycle's rent + prepaid gas, or discard.
+  bool discarded_for_rent = false;
+  if (rec.desc.state == FileState::normal) {
+    const TokenAmount rent =
+        params_.rent_per_cycle(rec.desc.size, rec.desc.cp);
+    const TokenAmount gas = util::checked_mul(params_.gas_per_task, 2);
+    if (ledger_.balance(rec.owner) < util::checked_add(rent, gas)) {
+      rec.desc.state = FileState::discard;
+      discarded_for_rent = true;
+    } else {
+      FI_CHECK(ledger_.transfer(rec.owner, rent_pool_, rent).is_ok());
+      rent_undistributed_scaled_ += static_cast<RentAcc>(rent)
+                                    << kRentAccFracBits;
+      total_rent_charged_ = util::checked_add(total_rent_charged_, rent);
+      FI_CHECK(charge_gas(rec.owner, gas));
+    }
+  }
+
+  // Proof timeliness per replica, one pass over the file's slab window.
+  // Reads are live: confiscating one replica's sector can corrupt (or
+  // complete the refresh of) this file's later replicas mid-loop.
   AllocTable::SweepView entries = alloc_table_.sweep_view_of(file);
   for (ReplicaIndex i = 0; i < entries.size(); ++i) {
     if (entries.state(i) == AllocState::corrupted) continue;  // dead slot
-    out.all_corrupted = false;
     const SectorId prev = entries.prev(i);
     if (prev == kNoSector) continue;
     if (sector_table_.state(prev) == SectorState::corrupted) continue;
     if (auto_prove_ && !is_physically_corrupted(prev)) {
-      // Fresh by construction: neither late nor breached.
       entries.set_last(i, now_);
       continue;
     }
     const Time last = entries.last(i);
-    const bool never = (last == kNoTime);
-    if (never || last + params_.proof_deadline < now_) {
-      out.any_breach = true;
+    if (last == kNoTime || last + params_.proof_deadline < now_) {
+      // ProofDeadline breached: confiscate and corrupt the sector.
+      corrupt_sector_internal(prev);
     } else if (last + params_.proof_due < now_) {
-      out.late.push_back(i);
+      const TokenAmount slashed =
+          deposit_book_.punish(prev, params_.punish_bp);
+      ++stats_.punishments;
+      bus_.emit(ProviderPunished{prev, slashed, "late proof"});
     }
   }
-}
-
-bool Network::charge_rent_or_discard(FileRecord& rec) {
-  // Fig. 8: charge the next cycle's rent + prepaid gas, or discard.
-  if (rec.desc.state != FileState::normal) return false;
-  const TokenAmount rent = params_.rent_per_cycle(rec.desc.size, rec.desc.cp);
-  const TokenAmount gas = util::checked_mul(params_.gas_per_task, 2);
-  if (ledger_.balance(rec.owner) < util::checked_add(rent, gas)) {
-    rec.desc.state = FileState::discard;
-    return true;
+  alloc_table_.note_sweep_writes();
+  bool all_corrupted = true;
+  for (ReplicaIndex i = 0; i < entries.size(); ++i) {
+    if (entries.state(i) != AllocState::corrupted) {
+      all_corrupted = false;
+      break;
+    }
   }
-  FI_CHECK(ledger_.transfer(rec.owner, rent_pool_, rent).is_ok());
-  rent_undistributed_scaled_ += static_cast<RentAcc>(rent) << kRentAccFracBits;
-  total_rent_charged_ = util::checked_add(total_rent_charged_, rent);
-  FI_CHECK(charge_gas(rec.owner, gas));
-  return false;
-}
 
-void Network::finish_check_proof(FileId file, FileRecord& rec,
-                                 bool discarded_for_rent, bool all_corrupted) {
-  // Fig. 8 tail: removal / loss / continuation.
+  // Removal / loss / continuation.
   if (rec.desc.state == FileState::discard) {
     total_stored_value_ =
         util::checked_sub(total_stored_value_, rec.desc.value);
@@ -530,62 +521,6 @@ void Network::finish_check_proof(FileId file, FileRecord& rec,
       auto_refresh(file, index);
     }
   }
-}
-
-void Network::apply_check_proof(FileId file, const ProofScan& scan) {
-  if (scan.rec == nullptr) return;
-  FileRecord& rec = *scan.rec;
-  const bool discarded_for_rent = charge_rent_or_discard(rec);
-
-  // Late (but not breaching) proofs, in replica order — the scan already
-  // stamped fresh replicas and classified the rest.
-  for (const ReplicaIndex i : scan.late) {
-    const SectorId holder = alloc_table_.entry(file, i).prev;
-    const TokenAmount slashed =
-        deposit_book_.punish(holder, params_.punish_bp);
-    ++stats_.punishments;
-    bus_.emit(ProviderPunished{holder, slashed, "late proof"});
-  }
-
-  finish_check_proof(file, rec, discarded_for_rent, scan.all_corrupted);
-}
-
-void Network::check_proof_hazard(FileId file) {
-  const auto it = files_.find(file);
-  if (it == files_.end()) return;
-  FileRecord& rec = it->second;
-  const bool discarded_for_rent = charge_rent_or_discard(rec);
-
-  // Proof timeliness per replica, with live re-reads: corrupting one
-  // replica's sector can mark this file's other entries corrupted.
-  for (ReplicaIndex i = 0; i < rec.desc.cp; ++i) {
-    const AllocEntry& e = alloc_table_.entry(file, i);
-    if (e.state == AllocState::corrupted || e.prev == kNoSector) continue;
-    if (sector_table_.state(e.prev) == SectorState::corrupted) continue;
-    if (auto_prove_ && !is_physically_corrupted(e.prev)) {
-      alloc_table_.set_last(file, i, now_);
-    }
-    const Time last = alloc_table_.entry(file, i).last;
-    const bool never = (last == kNoTime);
-    if (never || last + params_.proof_deadline < now_) {
-      // ProofDeadline breached: confiscate and corrupt the sector.
-      corrupt_sector_internal(e.prev);
-    } else if (last + params_.proof_due < now_) {
-      const TokenAmount slashed =
-          deposit_book_.punish(e.prev, params_.punish_bp);
-      ++stats_.punishments;
-      bus_.emit(ProviderPunished{e.prev, slashed, "late proof"});
-    }
-  }
-
-  bool all_corrupted = true;
-  for (ReplicaIndex i = 0; i < rec.desc.cp; ++i) {
-    if (alloc_table_.entry(file, i).state != AllocState::corrupted) {
-      all_corrupted = false;
-      break;
-    }
-  }
-  finish_check_proof(file, rec, discarded_for_rent, all_corrupted);
 }
 
 void Network::auto_refresh(FileId file, ReplicaIndex index) {

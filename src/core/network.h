@@ -350,49 +350,13 @@ class Network {
   // ---- Auto tasks (Fig. 7, 8, 9) -----------------------------------------
   void run_task(const Task& task);
   void auto_check_alloc(FileId file);
+  /// Fig. 8: rent or discard, one pass over the file's replicas (auto-prove
+  /// stamp, confiscation past ProofDeadline, punishment past ProofDue),
+  /// then removal, loss or re-arming.
   void auto_check_proof(FileId file);
   void auto_refresh(FileId file, ReplicaIndex index);
   void auto_check_refresh(FileId file, ReplicaIndex index);
   void distribute_rent();
-
-  // ---- Check_Proof ---------------------------------------------------------
-  //
-  // Auto_CheckProof runs as a scan + apply pair: the scan classifies the
-  // file's replicas against the epoch clock in one pass over its slab
-  // window, and the apply settles the verdict. A scan that finds a
-  // ProofDeadline breach hands the file to `check_proof_hazard` instead,
-  // which re-reads live state because confiscation can mark the file's
-  // other entries corrupted mid-loop.
-
-  /// One file's precomputed Auto_CheckProof outcome (Fig. 8 replica loop).
-  struct ProofScan {
-    /// The file's record, or nullptr if it vanished before the task ran.
-    FileRecord* rec = nullptr;
-    /// Every replica entry is `corrupted` (the Fig. 8 loss condition).
-    bool all_corrupted = false;
-    /// Some replica breached ProofDeadline: applying requires sector
-    /// confiscation, which mutates cross-file state — hazard.
-    bool any_breach = false;
-    /// Replicas past ProofDue but not ProofDeadline, in replica order.
-    std::vector<ReplicaIndex> late;
-  };
-
-  /// Classifies one file's replicas against the epoch clock and stamps
-  /// auto-proven replicas (writes only this file's `last` stamps).
-  void scan_check_proof(FileId file, ProofScan& out);
-  /// Settles a breach-free scan: rent, punishments, discard/loss
-  /// settlement, re-arming and the refresh countdown.
-  void apply_check_proof(FileId file, const ProofScan& scan);
-  /// The full Fig. 8 body including sector confiscation — the hazard
-  /// path.
-  void check_proof_hazard(FileId file);
-  /// Shared Fig. 8 blocks, called by both apply_check_proof and
-  /// check_proof_hazard so the two settle identically: the
-  /// rent-charge-or-discard head (returns discarded_for_rent) and the
-  /// removal/loss/re-arm/countdown tail.
-  bool charge_rent_or_discard(FileRecord& rec);
-  void finish_check_proof(FileId file, FileRecord& rec,
-                          bool discarded_for_rent, bool all_corrupted);
 
   // ---- Internal helpers ----------------------------------------------------
   FileRecord& record(FileId file);

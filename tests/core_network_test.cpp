@@ -394,6 +394,42 @@ TEST_F(NetworkFixture, LosingAllReplicasCompensatesClient) {
   EXPECT_EQ(net->stats().value_lost, 20u);
 }
 
+TEST_F(NetworkFixture, SharedSectorBreachLosesFileInSameCheck) {
+  // Four replicas over two sectors (distinct_sectors is off), and nobody
+  // proves. The check that first sees ProofDeadline breached confiscates
+  // every holder; confiscating one sector corrupts the file's later
+  // replicas mid-loop, so the loss is decided after the replica loop, in
+  // that same check, not one proof cycle later.
+  build(test_params(), 2, 8 * 1024);
+  const FileId id = add_and_store(1000, 20);
+  std::set<SectorId> holders;
+  for (ReplicaIndex i = 0; i < 4; ++i) {
+    holders.insert(net->allocations().entry(id, i).prev);
+  }
+  ASSERT_LT(holders.size(), 4u);
+  const Time stored_at = net->allocations().entry(id, 0).last;
+
+  // Checks at +100 (fresh), +200 and +300 (late, not yet breached).
+  net->advance_to(stored_at + 3 * params.proof_cycle);
+  ASSERT_TRUE(net->file_exists(id));
+  ASSERT_TRUE(events_of<SectorCorrupted>().empty());
+
+  // The check at +400: last + proof_deadline < now for every replica.
+  net->advance_to(stored_at + 4 * params.proof_cycle);
+  const auto corrupted = events_of<SectorCorrupted>();
+  ASSERT_EQ(corrupted.size(), holders.size());
+  for (const SectorCorrupted& ev : corrupted) {
+    EXPECT_EQ(holders.count(ev.sector), 1u);
+  }
+  EXPECT_FALSE(net->file_exists(id));
+  const auto lost = events_of<FileLost>();
+  ASSERT_EQ(lost.size(), 1u);
+  EXPECT_EQ(lost[0].file, id);
+  EXPECT_EQ(lost[0].value, 20u);
+  EXPECT_EQ(lost[0].compensated_now, 20u);
+  EXPECT_EQ(net->stats().value_compensated, net->stats().value_lost);
+}
+
 TEST_F(NetworkFixture, PartialCorruptionKeepsFileAlive) {
   build(test_params());
   net->set_auto_prove(true);

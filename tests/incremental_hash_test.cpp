@@ -233,8 +233,8 @@ scenario::ScenarioSpec small_spec() {
 TEST(IncrementalHashRunner, InvariantHoldsAtEveryEpochCheckpoint) {
   // The epoch callback is the checkpoint-safe point the snapshot layer
   // hooks; a persistent hasher there exercises the version counters across
-  // full proof-cycle batches, including the proof scan's
-  // `note_sweep_writes` version notes.
+  // full proof-cycle batches, including the `note_sweep_writes` version
+  // note Auto_CheckProof makes for its auto-prove stamps.
   scenario::ScenarioSpec spec = small_spec();
   scenario::ScenarioRunner runner(std::move(spec));
   IncrementalNetworkHasher hasher;

@@ -2,7 +2,7 @@
 // single-threaded (the suite name dates from when sweeps could run on a
 // worker pool); `Network::set_workers` and `engine.workers` survive only
 // as no-ops, and these tests pin that they stay byte-invisible:
-//   - a direct-engine drive through churn, corruption (the hazard path:
+//   - a direct-engine drive through churn, corruption (ProofDeadline
 //     confiscation + compensation), late-proof punishment and refresh
 //     handoffs replays the same event stream, pinned to a reference
 //     digest, whatever `set_workers` is passed;
@@ -220,8 +220,8 @@ DriveResult drive(std::uint64_t workers) {
   advance_confirming(net.now() + 3 + 3 * params.proof_cycle);
 
   // Physical corruption: two sectors go dark, one recovers before the
-  // deadline (late punishments only), the others breach (hazard path
-  // with confiscation + compensation).
+  // deadline (late punishments only), the others breach (ProofDeadline
+  // confiscation + compensation).
   net.corrupt_sector_physical(0);
   net.corrupt_sector_physical(1);
   net.corrupt_sector_physical(2);
@@ -255,7 +255,7 @@ constexpr const char* kDriveEventsDigest =
 TEST(ParallelDeterminismTest, EventSequenceIsWorkerCountInvariant) {
   const DriveResult serial = drive(1);
   ASSERT_GT(serial.events.size(), 0u);
-  EXPECT_GT(serial.stats.sectors_corrupted, 0u);  // hazard path exercised
+  EXPECT_GT(serial.stats.sectors_corrupted, 0u);  // confiscation exercised
   EXPECT_GT(serial.stats.punishments, 0u);        // late path exercised
   EXPECT_GT(serial.stats.refreshes_completed, 0u);
   EXPECT_EQ(fi::util::to_hex(fi::crypto::sha256(std::span(
@@ -309,9 +309,9 @@ TEST(ParallelDeterminismTest, ScenarioReportsAreByteIdenticalAcrossWorkers) {
 // ---- Allocation-free steady-state sweeps ----------------------------------
 
 /// The SoA/arena layout's contract: after warm-up, a proof-cycle sweep
-/// recycles every buffer it needs — the pending heap, the popped-task
-/// batch, the proof-scan scratch — so a steady-state epoch makes no heap
-/// allocation at all.
+/// recycles every buffer it needs (the pending heap, the popped-task
+/// batch), and Auto_CheckProof needs no scratch buffer at all, so a
+/// steady-state epoch makes no heap allocation.
 TEST(ParallelDeterminismTest, SteadyStateSweepIsAllocationFree) {
   Params params;
   params.verify_proofs = false;
