@@ -20,12 +20,11 @@ std::int64_t sample_refresh_countdown(util::Xoshiro256& rng,
 
 }  // namespace
 
-Network::Network(Params params, ledger::Ledger& ledger, std::uint64_t seed,
-                 BeaconSource beacon)
+Network::Network(Params params, ledger::Ledger& ledger, std::uint64_t seed)
     : params_(params),
       ledger_(ledger),
       rng_(seed),
-      beacon_(std::move(beacon)),
+      seed_(seed),
       escrow_(ledger.create_account()),
       pool_(ledger.create_account()),
       rent_pool_(ledger.create_account()),
@@ -34,15 +33,14 @@ Network::Network(Params params, ledger::Ledger& ledger, std::uint64_t seed,
       sector_table_(params_),
       deposit_book_(ledger, escrow_, pool_) {
   params_.validate();
-  if (!beacon_) {
-    beacon_ = [seed](Time t) {
-      return crypto::hash_u64s("fi/core/beacon", {seed, t});
-    };
-  }
   // Recurring rent distribution (§IV-A2).
   pending_.schedule(
       static_cast<Time>(params_.rent_period_cycles) * params_.proof_cycle,
       Task{TaskKind::rent_distribution, kNoFile, 0});
+}
+
+crypto::Hash256 Network::beacon(Time t) const {
+  return crypto::hash_u64s("fi/core/beacon", {seed_, t});
 }
 
 const FileDescriptor& Network::file(FileId file) const {
@@ -208,7 +206,7 @@ util::Status Network::file_prove(ProviderId provider, FileId file,
     const crypto::ReplicaId expected_id{provider, sector,
                                         replica_nonce(file, index)};
     if (proof.id != expected_id ||
-        !crypto::verify_window(proof, entry.comm_r, beacon_(proof.epoch),
+        !crypto::verify_window(proof, entry.comm_r, beacon(proof.epoch),
                                params_.post_challenges)) {
       return util::err(util::ErrorCode::proof_invalid,
                        "window proof verification failed");

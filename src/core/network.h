@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -79,23 +78,11 @@ NetworkStats load_network_stats(util::BinaryReader& reader);
 
 class Network {
  public:
-  /// Epoch beacon supplier for PoSt challenges (§III-F public randomness).
-  ///
-  /// Contract: must be a pure function of the epoch time `t` — the engine
-  /// may call it any number of times, in any order, and providers call the
-  /// same function through `beacon()` when building their WindowPoSt, so a
-  /// stateful or clock-dependent supplier would let prover and verifier
-  /// disagree. For reproducible experiments it must also be a fixed
-  /// function of the seed. The default is a domain-separated hash of
-  /// (seed, t).
-  using BeaconSource = std::function<crypto::Hash256(Time)>;
-
   /// Builds an empty network on `ledger` (which must outlive the engine;
   /// the five system accounts are created here). All protocol randomness
-  /// streams from `seed` — same params, seed, beacon and request sequence
-  /// means a bit-identical run.
-  Network(Params params, ledger::Ledger& ledger, std::uint64_t seed,
-          BeaconSource beacon = {});
+  /// streams from `seed` — same params, seed and request sequence means a
+  /// bit-identical run.
+  Network(Params params, ledger::Ledger& ledger, std::uint64_t seed);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -171,8 +158,10 @@ class Network {
   /// granularity at which `advance_to` will do work.
   [[nodiscard]] Time next_task_time() const { return pending_.next_time(); }
 
-  /// The epoch beacon (for providers building PoSt proofs).
-  [[nodiscard]] crypto::Hash256 beacon(Time t) const { return beacon_(t); }
+  /// The epoch beacon for PoSt challenges (§III-F public randomness): a
+  /// domain-separated hash of (seed, t), so a pure function of both —
+  /// providers building their WindowPoSt and the verifier agree on it.
+  [[nodiscard]] crypto::Hash256 beacon(Time t) const;
 
   // ---- Simulation hooks ---------------------------------------------------
 
@@ -226,6 +215,8 @@ class Network {
   [[nodiscard]] ClientId file_owner(FileId file) const;
   /// Files currently tracked (stored or mid-upload).
   [[nodiscard]] std::size_t file_count() const { return files_.size(); }
+  /// Id the next File_Add will get: every id ever issued is below it.
+  [[nodiscard]] FileId next_file_id() const { return next_file_id_; }
   /// Scheduled-but-unexecuted automatic tasks.
   [[nodiscard]] std::size_t pending_tasks() const { return pending_.size(); }
 
@@ -284,14 +275,14 @@ class Network {
   /// are emitted in sorted order; order-bearing dense arrays verbatim), so
   /// hashing this encoding is a state fingerprint.
   ///
-  /// Not included: params, seed/beacon and subscribers — those are
+  /// Not included: params, seed and subscribers — those are
   /// construction-time configuration the restoring caller must supply
   /// identically (the scenario layer rebuilds them from the spec embedded
   /// in the snapshot file).
   void save(util::BinaryWriter& writer) const;
 
-  /// Restores a freshly-constructed engine (same params, ledger layout,
-  /// seed and beacon as the saved one) to the serialized state; the ledger
+  /// Restores a freshly-constructed engine (same params, ledger layout and
+  /// seed as the saved one) to the serialized state; the ledger
   /// itself must have been restored first. Continuation is then
   /// byte-identical to the uninterrupted run. Fails without engine
   /// side-effect guarantees on malformed input — callers verify the
@@ -408,9 +399,9 @@ class Network {
   // snapshots itself through its own save_state/load_state pair)
   ledger::Ledger& ledger_;
   util::Xoshiro256 rng_;
-  // fi-lint: not-serialized(callback handle; re-bound by the host after
-  // resume, never part of canonical state)
-  BeaconSource beacon_;
+  // fi-lint: not-serialized(construction input; the beacon's key, which
+  // the restoring caller re-supplies)
+  std::uint64_t seed_;
 
   AccountId escrow_;
   AccountId pool_;

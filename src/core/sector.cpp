@@ -154,12 +154,6 @@ void SectorTable::transition_capacity(SectorId id, SectorState to) {
   states_[id] = to;
 }
 
-std::vector<SectorId> SectorTable::all_ids() const {
-  std::vector<SectorId> ids(owners_.size());
-  for (std::size_t i = 0; i < owners_.size(); ++i) ids[i] = i;
-  return ids;
-}
-
 void SectorTable::save(util::BinaryWriter& writer) const {
   writer.u64(owners_.size());
   for (std::size_t i = 0; i < owners_.size(); ++i) {

@@ -124,9 +124,6 @@ class SectorTable {
     return rentable_units_;
   }
 
-  /// All sector ids in registration order.
-  [[nodiscard]] std::vector<SectorId> all_ids() const;
-
   /// Mutation counter for incremental state hashing: bumped by every
   /// mutating member (conservatively, even when the mutation is a no-op).
   /// Monotone within a process; not comparable across save/load.

@@ -170,6 +170,10 @@ class ScenarioRunner {
   [[nodiscard]] const sim::NetModel* netmodel() const {
     return netmodel_.get();
   }
+  /// The retrieval-traffic engine (nullptr when `spec.traffic` is off).
+  [[nodiscard]] const traffic::TrafficEngine* traffic() const {
+    return traffic_.get();
+  }
 
  private:
   struct ResumeTag {};

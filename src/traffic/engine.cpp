@@ -4,27 +4,12 @@
 #include <array>
 #include <cmath>
 
-#include "ipfs/cid.h"
 #include "util/checked.h"
 #include "util/distributions.h"
 
 namespace fi::traffic {
 
 namespace {
-
-/// A file's cache block: its id, little-endian (the simulation tracks
-/// metadata only, so the block stands in for the file's bytes).
-std::vector<std::uint8_t> file_block(FileId file) {
-  std::vector<std::uint8_t> data(8);
-  for (std::size_t i = 0; i < 8; ++i) {
-    data[i] = static_cast<std::uint8_t>(file >> (8 * i));
-  }
-  return data;
-}
-
-ipfs::Cid file_cid(FileId file) {
-  return ipfs::make_cid(ipfs::Codec::raw, file_block(file));
-}
 
 /// Smallest histogram bucket at which the cumulative count reaches
 /// `numer/denom` of the total.
@@ -40,7 +25,8 @@ std::uint64_t percentile(const std::vector<std::uint64_t>& hist,
   return hist.size() - 1;
 }
 
-void grow_to(std::vector<std::uint64_t>& v, std::size_t index) {
+template <typename T>
+void grow_to(std::vector<T>& v, std::size_t index) {
   if (index >= v.size()) v.resize(index + 1, 0);
 }
 
@@ -130,10 +116,11 @@ void TrafficEngine::ensure_ask(SectorId sector) {
 }
 
 void TrafficEngine::cache_insert(FileId file) {
-  store_.put(ipfs::Codec::raw, file_block(file));
+  grow_to(cached_, file);
+  cached_[file] = 1;
   cache_fifo_.push_back(file);
-  while (store_.block_count() > spec_.cache_blocks) {
-    store_.remove(file_cid(cache_fifo_[cache_head_]));
+  while (cache_fifo_.size() - cache_head_ > spec_.cache_blocks) {
+    cached_[cache_fifo_[cache_head_]] = 0;
     ++cache_head_;
   }
   if (cache_head_ > 0 && cache_head_ * 2 > cache_fifo_.size()) {
@@ -183,10 +170,10 @@ void TrafficEngine::issue(std::uint64_t stream, FileId file) {
     return;
   }
 
-  // Provider-side content cache: a hit serves from the hot store, a miss
+  // Provider-side content cache: a hit serves from the hot cache, a miss
   // adds one fetch cycle and warms the cache.
   std::uint64_t extra_latency = 0;
-  if (store_.has(file_cid(file))) {
+  if (file < cached_.size() && cached_[file] != 0) {
     ++cache_hits_;
   } else {
     ++cache_misses_;
@@ -344,7 +331,7 @@ void TrafficEngine::save_state(util::BinaryWriter& writer) const {
   for (const std::uint64_t word : rng_.state()) writer.u64(word);
   market_.save_state(writer);
   // The cache is encoded as its live FIFO window (insertion order), from
-  // which load_state rebuilds the block store.
+  // which load_state rebuilds the membership column.
   writer.u64(cache_fifo_.size() - cache_head_);
   for (std::size_t i = cache_head_; i < cache_fifo_.size(); ++i) {
     writer.u64(cache_fifo_[i]);
@@ -389,9 +376,19 @@ void TrafficEngine::load_state(util::BinaryReader& reader) {
   market_.load_state(reader);
   cache_fifo_ = util::load_u64_seq<FileId>(reader);
   cache_head_ = 0;
-  store_ = ipfs::ContentStore{};
+  // The encoder writes each cached id once, and only ids the network has
+  // issued; anything else is crafted (and must not size the column). A
+  // window longer than cache_blocks is legal: a fork may lower the key,
+  // and the next insert trims it.
+  cached_.clear();
   for (const FileId file : cache_fifo_) {
-    store_.put(ipfs::Codec::raw, file_block(file));
+    if (file >= net_.next_file_id() ||
+        (file < cached_.size() && cached_[file] != 0)) {
+      reader.fail();
+      break;
+    }
+    grow_to(cached_, file);
+    cached_[file] = 1;
   }
   hot_file_ = reader.u64();
   pending_.clear();

@@ -7,7 +7,6 @@
 #include "core/network.h"
 #include "core/retrieval_market.h"
 #include "core/types.h"
-#include "ipfs/content_store.h"
 #include "traffic/defense.h"
 #include "traffic/spec.h"
 #include "util/binary_io.h"
@@ -170,7 +169,7 @@ class TrafficEngine {
   [[nodiscard]] std::uint64_t queue_depth(SectorId sector) const {
     return sector < queues_.size() ? queues_[sector] : 0;
   }
-  /// Caches a file's content block, FIFO-evicting past the cache size.
+  /// Caches a file, FIFO-evicting past the cache size.
   void cache_insert(FileId file);
 
   // fi-lint: not-serialized(configuration, rebuilt from the scenario spec
@@ -184,9 +183,10 @@ class TrafficEngine {
   std::uint64_t streams_;
   // fi-lint: not-serialized(derived from the spec)
   std::uint64_t honest_streams_;
-  // fi-lint: not-serialized(derived: load_state rebuilds the block store
-  // from the serialized FIFO window)
-  ipfs::ContentStore store_;
+  // fi-lint: not-serialized(derived: load_state rebuilds it from the
+  // serialized FIFO window)
+  /// 1 iff the file is in the cache window, indexed by FileId.
+  std::vector<std::uint8_t> cached_;
   // fi-lint: not-serialized(memo of idempotent ask posts; the asks
   // themselves live in the market's serialized book)
   std::vector<std::uint8_t> ask_posted_;
@@ -194,7 +194,8 @@ class TrafficEngine {
   util::Xoshiro256 rng_;
   core::RetrievalMarket market_;
   /// Cached file ids in insertion order; `cache_head_` marks the FIFO
-  /// front (ring-style so eviction is O(1), compacted when stale).
+  /// front (ring-style so eviction is O(1), compacted when stale). An id
+  /// enters only on a miss, so the window holds each id at most once.
   std::vector<FileId> cache_fifo_;
   std::size_t cache_head_ = 0;
   /// The flash crowd's hot file (picked once at flash onset).

@@ -1,17 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <unordered_map>
-
 #include "analysis/bounds.h"
 #include "analysis/planner.h"
-#include "core/network.h"
-#include "core/reputation.h"
 #include "core/retrieval_market.h"
 #include "ledger/account.h"
 
 /// Tests for the extension features: the competitive retrieval market
-/// (§III-E), the softmax reputation tracker (the conclusion's open
-/// problem), and the §VI-A parameter planner.
+/// (§III-E) and the §VI-A parameter planner.
 namespace fi {
 namespace {
 
@@ -72,167 +67,6 @@ TEST_F(MarketFixture, SettleFailsWithoutFundsAndRecordsNothing) {
             util::ErrorCode::insufficient_funds);
   EXPECT_EQ(market.bytes_served(pricey), 0u);
   EXPECT_EQ(market.retrievals_settled(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// ReputationTracker
-// ---------------------------------------------------------------------------
-
-struct ReputationFixture : ::testing::Test {
-  ReputationTracker tracker;
-  std::unordered_map<SectorId, ProviderId> owners{{1, 100}, {2, 200}};
-};
-
-TEST_F(ReputationFixture, ActivationsRaisePunishmentsLower) {
-  tracker.observe(ReplicaActivated{5, 0, 1}, owners);
-  EXPECT_GT(tracker.score(100), 0.0);
-  tracker.observe(ProviderPunished{1, 10, "late"}, owners);
-  EXPECT_LT(tracker.score(100), 0.0);
-}
-
-TEST_F(ReputationFixture, CorruptionCratersScore) {
-  tracker.observe(ReplicaActivated{5, 0, 2}, owners);
-  const double before = tracker.score(200);
-  tracker.observe(SectorCorrupted{2, 500}, owners);
-  EXPECT_LT(tracker.score(200), before - 4.0);
-}
-
-TEST_F(ReputationFixture, UnknownSectorsIgnored) {
-  tracker.observe(ReplicaActivated{5, 0, 99}, owners);
-  EXPECT_EQ(tracker.tracked_count(), 0u);
-}
-
-TEST_F(ReputationFixture, SoftmaxDistributionNormalizesAndOrders) {
-  tracker.track(100);
-  tracker.track(200);
-  for (int i = 0; i < 10; ++i) {
-    tracker.observe(ReplicaActivated{5, 0, 1}, owners);  // rewards 100
-  }
-  tracker.observe(ProviderPunished{2, 10, "late"}, owners);  // dings 200
-  const auto dist = tracker.distribution();
-  ASSERT_EQ(dist.size(), 2u);
-  double total = 0.0;
-  for (const auto& [p, w] : dist) total += w;
-  EXPECT_NEAR(total, 1.0, 1e-12);
-  EXPECT_GT(tracker.selection_probability(100),
-            tracker.selection_probability(200));
-}
-
-TEST_F(ReputationFixture, DistributionIsInsertionOrderInvariant) {
-  // Regression: the softmax normalizer used to accumulate in hash-map
-  // iteration order, so two trackers with the same scores could disagree
-  // in the last ulp. The distribution must be bitwise identical and come
-  // out sorted by provider id regardless of track() order.
-  ReputationTracker forward;
-  ReputationTracker reverse;
-  for (ProviderId p : {100, 200, 300}) forward.track(p);
-  for (ProviderId p : {300, 200, 100}) reverse.track(p);
-  std::unordered_map<SectorId, ProviderId> map{{1, 100}, {2, 200}, {3, 300}};
-  for (ReputationTracker* t : {&forward, &reverse}) {
-    for (int i = 0; i < 7; ++i) t->observe(ReplicaActivated{5, 0, 1}, map);
-    t->observe(ProviderPunished{2, 10, "late"}, map);
-    t->observe(SectorCorrupted{3, 50}, map);
-  }
-  const auto a = forward.distribution();
-  const auto b = reverse.distribution();
-  ASSERT_EQ(a.size(), 3u);
-  ASSERT_EQ(b.size(), 3u);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].first, b[i].first);
-    EXPECT_EQ(a[i].second, b[i].second);  // bitwise, not NEAR
-  }
-  EXPECT_TRUE(std::is_sorted(a.begin(), a.end(),
-                             [](const auto& x, const auto& y) {
-                               return x.first < y.first;
-                             }));
-}
-
-TEST_F(ReputationFixture, TemperatureFlattensSelection) {
-  ReputationParams hot;
-  hot.temperature = 100.0;
-  ReputationTracker flat(hot);
-  ReputationTracker sharp;  // temperature 1
-  for (ReputationTracker* t : {&flat, &sharp}) {
-    t->track(100);
-    t->track(200);
-    for (int i = 0; i < 20; ++i) {
-      t->observe(ReplicaActivated{5, 0, 1}, owners);
-    }
-  }
-  // Same scores, but the hot softmax stays near uniform.
-  EXPECT_LT(flat.selection_probability(100) - 0.5,
-            sharp.selection_probability(100) - 0.5);
-  EXPECT_GT(flat.selection_probability(200),
-            sharp.selection_probability(200));
-}
-
-TEST_F(ReputationFixture, RankOrdersByScore) {
-  tracker.track(100);
-  tracker.track(200);
-  tracker.observe(SectorCorrupted{1, 100}, owners);  // 100 craters
-  const auto ranked = tracker.rank({100, 200});
-  ASSERT_EQ(ranked.size(), 2u);
-  EXPECT_EQ(ranked[0], 200u);
-  EXPECT_EQ(ranked[1], 100u);
-}
-
-TEST_F(ReputationFixture, DecayFadesHistory) {
-  ReputationParams p;
-  p.decay = 0.5;  // aggressive, for the test
-  ReputationTracker tracker2(p);
-  tracker2.observe(ProviderPunished{1, 10, "late"}, owners);
-  const double right_after = tracker2.score(100);
-  // Many later events elsewhere decay the old penalty toward zero.
-  for (int i = 0; i < 20; ++i) {
-    tracker2.observe(ReplicaActivated{5, 0, 2}, owners);
-  }
-  EXPECT_GT(tracker2.score(100), right_after * 0.999);
-  EXPECT_NEAR(tracker2.score(100), 0.0, 0.01);
-}
-
-TEST(ReputationLiveNetwork, PunishedProviderRanksBelowHonest) {
-  // Wire the tracker to a real protocol run: one provider stops proving
-  // and accumulates punishments; its rank drops below the honest one's.
-  Params p;
-  p.min_capacity = 8 * 1024;
-  p.min_value = 10;
-  p.k = 2;
-  p.cap_para = 20.0;
-  p.gamma_deposit = 0.2;
-  p.verify_proofs = false;
-  p.cr_size = 2048;
-  ledger::Ledger ledger;
-  Network net(p, ledger, 5);
-  net.set_auto_prove(true);
-  ReputationTracker tracker;
-  std::unordered_map<SectorId, ProviderId> owners;
-  net.subscribe([&](const Event& e) { tracker.observe(e, owners); });
-
-  const AccountId honest = ledger.create_account(1'000'000);
-  const AccountId sloppy = ledger.create_account(1'000'000);
-  const SectorId s1 = net.sector_register(honest, 8 * 1024).value();
-  const SectorId s2 = net.sector_register(sloppy, 8 * 1024).value();
-  owners[s1] = honest;
-  owners[s2] = sloppy;
-  tracker.track(honest);
-  tracker.track(sloppy);
-
-  const AccountId client = ledger.create_account(1'000'000);
-  for (int i = 0; i < 4; ++i) {
-    auto f = net.file_add(client, {512, 10, {}});
-    ASSERT_TRUE(f.is_ok());
-    for (ReplicaIndex r = 0; r < 2; ++r) {
-      const AllocEntry& e = net.allocations().entry(f.value(), r);
-      ASSERT_TRUE(net.file_confirm(net.sectors().at(e.next).owner, f.value(),
-                                   r, e.next, {}, std::nullopt)
-                      .is_ok());
-    }
-  }
-  // The sloppy provider's disk goes dark: punishments accrue.
-  net.corrupt_sector_physical(s2);
-  net.advance_to(2 * p.proof_cycle + 5);
-  EXPECT_LT(tracker.score(sloppy), tracker.score(honest));
-  EXPECT_EQ(tracker.rank({sloppy, honest}).front(), honest);
 }
 
 // ---------------------------------------------------------------------------

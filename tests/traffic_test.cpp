@@ -2,8 +2,10 @@
 // the Poisson-envelope defense (honest streams never flagged across
 // seeds, a DDoS gang flagged within a bounded number of epochs, no
 // defense-off flags), worker-count byte-identity of traffic reports, QoS
-// behavior under flash crowds and serve-refusal cartels, and snapshot
-// round-trips of every piece of new traffic/defense/market state.
+// behavior under flash crowds and serve-refusal cartels, snapshot
+// round-trips of every piece of new traffic/defense/market state, and the
+// cache window across save/load (crafted windows rejected, shrinking forks
+// pinned).
 
 #include <algorithm>
 #include <string>
@@ -452,6 +454,105 @@ TEST(TrafficSnapshotTest, TrafficFreeSnapshotsCarryNoTrafficBytes) {
   const std::string hash_b = state_hash_of(spec);
   EXPECT_EQ(hash_a, hash_b);
   EXPECT_FALSE(hash_a.empty());
+}
+
+// ---- Cache window across save/load -----------------------------------------
+
+std::uint64_t read_u64_at(const std::vector<std::uint8_t>& bytes,
+                          std::size_t offset) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(bytes[offset + i]) << (8 * i);
+  }
+  return v;
+}
+
+void write_u64_at(std::vector<std::uint8_t>& bytes, std::size_t offset,
+                  std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+/// A runner body saved at `epoch` with the provider cache full, and the
+/// offset of the cache window's length word in it. Without a `network.*`
+/// block the traffic tail ends the body; in the tail the window follows
+/// the four PRNG words and the market book.
+struct CacheCheckpoint {
+  std::vector<std::uint8_t> bytes;
+  std::size_t window = 0;
+  fi::core::FileId next_file = 0;
+};
+
+CacheCheckpoint checkpoint_with_full_cache(const ScenarioSpec& spec,
+                                           std::uint64_t epoch) {
+  CacheCheckpoint cp;
+  ScenarioRunner saver(spec);
+  saver.set_epoch_callback([&](const ScenarioRunner& at_epoch) {
+    if (at_epoch.epoch() != epoch) return;
+    BinaryWriter body;
+    at_epoch.save_state(body);
+    BinaryWriter tail;
+    at_epoch.traffic()->save_state(tail);
+    BinaryWriter market;
+    at_epoch.traffic()->market().save_state(market);
+    cp.bytes = body.data();
+    ASSERT_TRUE(std::equal(tail.data().rbegin(), tail.data().rend(),
+                           cp.bytes.rbegin()));
+    cp.window = static_cast<std::size_t>(body.size() - tail.size() + 4 * 8 +
+                                         market.size());
+    cp.next_file = at_epoch.network().next_file_id();
+    // Every miss inserts, so at least cache_blocks misses fill the FIFO.
+    ASSERT_GE(at_epoch.traffic()->metrics().cache_misses,
+              spec.traffic.cache_blocks);
+  });
+  (void)saver.run();
+  EXPECT_EQ(read_u64_at(cp.bytes, cp.window), spec.traffic.cache_blocks);
+  return cp;
+}
+
+TEST(TrafficSnapshotTest, CacheWindowWithRepeatedOrUnknownIdIsRejected) {
+  // The encoder writes each cached id once, and only ids the network has
+  // issued; a window that breaks either is crafted, and must not load.
+  const ScenarioSpec spec = traffic_base_spec(96);
+  const CacheCheckpoint cp = checkpoint_with_full_cache(spec, 6);
+  ASSERT_FALSE(cp.bytes.empty());
+  {
+    BinaryReader reader(cp.bytes);
+    EXPECT_TRUE(ScenarioRunner::resume(spec, reader).is_ok());
+  }
+  const std::size_t first = cp.window + 8;
+  std::vector<std::uint8_t> repeated = cp.bytes;
+  write_u64_at(repeated, first + 8, read_u64_at(cp.bytes, first));
+  BinaryReader repeated_reader(repeated);
+  EXPECT_FALSE(ScenarioRunner::resume(spec, repeated_reader).is_ok());
+
+  for (const std::uint64_t unknown : {cp.next_file, std::uint64_t{1} << 40}) {
+    std::vector<std::uint8_t> crafted = cp.bytes;
+    write_u64_at(crafted, first, unknown);
+    BinaryReader reader(crafted);
+    EXPECT_FALSE(ScenarioRunner::resume(spec, reader).is_ok()) << unknown;
+  }
+}
+
+TEST(TrafficSnapshotTest, ShrinkingCacheForkTrimsOnNextInsert) {
+  // A fork (resume under an edited spec, as `Session::fork` does) may
+  // lower traffic.cache_blocks below the saved window's length. The
+  // window still loads, and trims to the new size on the next insert.
+  // The literals pin the hit/miss sequence and the end state, so a change
+  // to membership or to the trim order shows.
+  const ScenarioSpec spec = traffic_base_spec(95);
+  const CacheCheckpoint cp = checkpoint_with_full_cache(spec, 6);
+  ScenarioSpec shrunk = spec;
+  shrunk.traffic.cache_blocks = 16;
+  BinaryReader reader(cp.bytes);
+  auto fork = ScenarioRunner::resume(shrunk, reader);
+  ASSERT_TRUE(fork.is_ok()) << fork.status().to_string();
+  const MetricsReport report = fork.value()->run();
+  EXPECT_EQ(report.traffic.cache_hits, 455u);
+  EXPECT_EQ(report.traffic.cache_misses, 1278u);
+  EXPECT_EQ(fi::snapshot::state_hash(*fork.value()),
+            "0ff165e61e93d3fd5cd42abe5c7761f3b6daa40dd0237066bcfa7096d618fbae");
 }
 
 }  // namespace
