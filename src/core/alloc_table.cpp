@@ -4,15 +4,20 @@
 
 namespace fi::core {
 
+const AllocTable::Range& AllocTable::range_of(FileId file) const {
+  FI_CHECK_MSG(has_file(file), "unknown file");
+  return ranges_[file];
+}
+
 std::size_t AllocTable::slot_of(FileId file, ReplicaIndex idx) const {
-  const auto it = ranges_.find(file);
-  FI_CHECK_MSG(it != ranges_.end(), "unknown file");
-  FI_CHECK_MSG(idx < it->second.count, "replica index out of range");
-  return it->second.offset + idx;
+  const Range& range = range_of(file);
+  FI_CHECK_MSG(idx < range.count, "replica index out of range");
+  return range.offset + idx;
 }
 
 void AllocTable::create_file(FileId file, std::uint32_t cp) {
-  FI_CHECK_MSG(!ranges_.contains(file), "file already allocated");
+  FI_CHECK_MSG(file != kNoFile, "file id out of range");
+  FI_CHECK_MSG(!has_file(file), "file already allocated");
   FI_CHECK_MSG(cp >= 1, "file needs at least one replica");
   ++version_;
   std::size_t offset = pool_.acquire(cp);
@@ -38,14 +43,15 @@ void AllocTable::create_file(FileId file, std::uint32_t cp) {
       pos_in_normal_[s] = kNoPos;
     }
   }
-  ranges_.emplace(file, Range{offset, cp});
+  if (file >= ranges_.size()) ranges_.resize(file + 1);
+  ranges_[file] = Range{offset, cp};
+  ++file_count_;
 }
 
 void AllocTable::remove_file(FileId file) {
-  const auto it = ranges_.find(file);
-  FI_CHECK_MSG(it != ranges_.end(), "removing unknown file");
+  FI_CHECK_MSG(has_file(file), "removing unknown file");
   ++version_;
-  const Range range = it->second;
+  const Range range = ranges_[file];
   for (ReplicaIndex idx = 0; idx < range.count; ++idx) {
     const std::size_t slot = range.offset + idx;
     const EntryKey key{file, idx};
@@ -57,14 +63,13 @@ void AllocTable::remove_file(FileId file) {
     }
     if (state_[slot] == AllocState::normal) sampler_remove(key, slot);
   }
-  ranges_.erase(it);
+  ranges_[file] = Range{};
+  --file_count_;
   pool_.release(range.count, range.offset);
 }
 
 std::uint32_t AllocTable::replica_count(FileId file) const {
-  const auto it = ranges_.find(file);
-  FI_CHECK_MSG(it != ranges_.end(), "unknown file");
-  return it->second.count;
+  return range_of(file).count;
 }
 
 AllocEntry AllocTable::entry(FileId file, ReplicaIndex idx) const {
@@ -79,9 +84,7 @@ AllocEntry AllocTable::entry(FileId file, ReplicaIndex idx) const {
 }
 
 AllocTable::SweepView AllocTable::sweep_view_of(FileId file) {
-  const auto it = ranges_.find(file);
-  FI_CHECK_MSG(it != ranges_.end(), "unknown file");
-  const Range range = it->second;
+  const Range range = range_of(file);
   SweepView view;
   view.state_ = state_.data() + range.offset;
   view.prev_ = prev_.data() + range.offset;
@@ -211,14 +214,10 @@ void AllocTable::sampler_remove(EntryKey key, std::size_t slot) {
 }
 
 void AllocTable::save(util::BinaryWriter& writer) const {
-  std::vector<FileId> files;
-  files.reserve(ranges_.size());
-  // fi-lint: allow(unordered-iter, keys collected then sorted before encoding)
-  for (const auto& [file, _] : ranges_) files.push_back(file);
-  std::sort(files.begin(), files.end());
-  writer.u64(files.size());
-  for (const FileId file : files) {
-    const Range range = ranges_.at(file);
+  writer.u64(file_count_);
+  for (FileId file = 0; file < ranges_.size(); ++file) {
+    const Range range = ranges_[file];
+    if (range.count == 0) continue;
     writer.u64(file);
     writer.u32(range.count);
     for (ReplicaIndex idx = 0; idx < range.count; ++idx) {
@@ -259,9 +258,10 @@ void AllocTable::save(util::BinaryWriter& writer) const {
   }
 }
 
-void AllocTable::load(util::BinaryReader& reader,
-                      std::uint64_t sector_count) {
+void AllocTable::load(util::BinaryReader& reader, std::uint64_t sector_count,
+                      std::uint64_t file_id_bound) {
   ranges_.clear();
+  file_count_ = 0;
   prev_.clear();
   next_.clear();
   last_.clear();
@@ -277,11 +277,14 @@ void AllocTable::load(util::BinaryReader& reader,
   ++version_;
 
   const std::uint64_t files = reader.count(12);
-  ranges_.reserve(files);
   for (std::uint64_t f = 0; f < files; ++f) {
     const FileId file = reader.u64();
     const std::uint32_t cp = reader.u32();
-    if (cp > reader.remaining() / 57) {
+    // The id indexes the dense range column, so it is bounded before it
+    // can size anything; a repeated id or an empty group could never have
+    // been produced by save() (count 0 means absent).
+    if (!reader.ok() || file >= file_id_bound || cp == 0 ||
+        cp > reader.remaining() / 57 || has_file(file)) {
       reader.fail();
       return;
     }
@@ -307,10 +310,9 @@ void AllocTable::load(util::BinaryReader& reader,
       pos_in_normal_.push_back(kNoPos);
     }
     if (!reader.ok()) return;
-    if (!ranges_.emplace(file, Range{offset, cp}).second) {
-      reader.fail();  // duplicate file group: rows silently dropped otherwise
-      return;
-    }
+    if (file >= ranges_.size()) ranges_.resize(file + 1);
+    ranges_[file] = Range{offset, cp};
+    ++file_count_;
   }
 
   // Index and sampler keys must reference loaded entries — an unknown file
@@ -319,9 +321,8 @@ void AllocTable::load(util::BinaryReader& reader,
   // doubles as the intrusive-position anchor.
   const auto key_slot = [this](FileId file,
                                ReplicaIndex idx) -> std::size_t {
-    const auto it = ranges_.find(file);
-    if (it == ranges_.end() || idx >= it->second.count) return kNoPos;
-    return it->second.offset + idx;
+    if (!has_file(file) || idx >= ranges_[file].count) return kNoPos;
+    return ranges_[file].offset + idx;
   };
 
   const auto load_index = [&](std::vector<std::vector<EntryKey>>& buckets,

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -51,17 +50,10 @@ struct AllocEntry {
 
 using EntryKey = std::pair<FileId, ReplicaIndex>;
 
-struct EntryKeyHash {
-  std::size_t operator()(const EntryKey& key) const noexcept {
-    return std::hash<std::uint64_t>{}(
-        (key.first * 0x9e3779b97f4a7c15ull) ^ key.second);
-  }
-};
-
 class AllocTable {
  public:
-  /// Mutable per-file window over the slab for Auto_CheckProof: one hash
-  /// lookup yields direct array access to all of a file's replicas
+  /// Mutable per-file window over the slab for Auto_CheckProof: one array
+  /// read of the file's range yields direct access to all of its replicas
   /// (contiguous slots).
   ///
   /// A view may write ONLY `last`; prev/state are coupled to the reverse
@@ -97,7 +89,7 @@ class AllocTable {
   void remove_file(FileId file);
 
   [[nodiscard]] bool has_file(FileId file) const {
-    return ranges_.contains(file);
+    return file < ranges_.size() && ranges_[file].count != 0;
   }
   [[nodiscard]] std::uint32_t replica_count(FileId file) const;
 
@@ -139,7 +131,7 @@ class AllocTable {
   [[nodiscard]] std::size_t normal_entry_count() const {
     return normal_entries_.size();
   }
-  [[nodiscard]] std::size_t file_count() const { return ranges_.size(); }
+  [[nodiscard]] std::size_t file_count() const { return file_count_; }
 
   /// Mutation counter for incremental state hashing: bumped by every
   /// mutating member. `SweepView::set_last` stamps bypass it; whoever
@@ -149,22 +141,24 @@ class AllocTable {
 
   /// Canonical snapshot encoding / full-state restore (`src/snapshot`).
   ///
-  /// The file→range map is encoded sorted by file id (its hash order is
-  /// never observable), but the reverse indexes and the normal-entry
-  /// sampler are encoded in their exact dense-array order: their positions
-  /// feed iteration (`with_prev` spans) and uniform sampling
+  /// File groups are encoded in ascending file id (the range column's own
+  /// order), but the reverse indexes and the normal-entry sampler are
+  /// encoded in their exact dense-array order: their positions feed
+  /// iteration (`with_prev` spans) and uniform sampling
   /// (`random_normal_entry`), so a swap-erase history reshuffle would
   /// change later draws and break save→load→continue byte-identity.
   /// Slot placement inside the slab is NOT observable and not encoded;
   /// `load` repacks files dense in file-id order.
   ///
   /// `sector_count` bounds the sector ids accepted in the reverse-index
-  /// sections (the caller loads the sector table first): buckets are
-  /// dense per-sector vectors now, so an astronomically large id in a
-  /// crafted body must be rejected up front instead of driving a huge
-  /// resize.
+  /// sections (the caller loads the sector table first), and
+  /// `file_id_bound` (the network's next file id) bounds the file ids of
+  /// the groups: buckets and ranges are dense id-indexed vectors, so an
+  /// astronomically large id in a crafted body must be rejected up front
+  /// instead of driving a huge resize.
   void save(util::BinaryWriter& writer) const;
-  void load(util::BinaryReader& reader, std::uint64_t sector_count);
+  void load(util::BinaryReader& reader, std::uint64_t sector_count,
+            std::uint64_t file_id_bound);
 
  private:
   /// A file's contiguous slot run in the slab.
@@ -174,6 +168,7 @@ class AllocTable {
   };
   static constexpr std::size_t kNoPos = ~std::size_t{0};
 
+  [[nodiscard]] const Range& range_of(FileId file) const;
   [[nodiscard]] std::size_t slot_of(FileId file, ReplicaIndex idx) const;
   void index_add(std::vector<std::vector<EntryKey>>& buckets,
                  std::vector<std::size_t>& positions, SectorId sector,
@@ -184,7 +179,11 @@ class AllocTable {
   void sampler_add(EntryKey key, std::size_t slot);
   void sampler_remove(EntryKey key, std::size_t slot);
 
-  std::unordered_map<FileId, Range> ranges_;
+  /// Slot run per file, indexed by FileId (ids are dense counters and
+  /// never reused); `count == 0` marks an absent id.
+  std::vector<Range> ranges_;
+  /// Number of non-empty ranges.
+  std::size_t file_count_ = 0;
   /// Struct-of-arrays slab, indexed by slot = range.offset + replica.
   std::vector<SectorId> prev_;
   std::vector<SectorId> next_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/checked.h"
 #include "util/distributions.h"
@@ -43,22 +44,31 @@ crypto::Hash256 Network::beacon(Time t) const {
   return crypto::hash_u64s("fi/core/beacon", {seed_, t});
 }
 
+const Network::FileRecord* Network::find_file(FileId file) const {
+  return file < files_.size() && files_[file].desc.cp != 0 ? &files_[file]
+                                                           : nullptr;
+}
+
+Network::FileRecord* Network::find_file(FileId file) {
+  return const_cast<FileRecord*>(std::as_const(*this).find_file(file));
+}
+
 const FileDescriptor& Network::file(FileId file) const {
-  const auto it = files_.find(file);
-  FI_CHECK_MSG(it != files_.end(), "unknown file");
-  return it->second.desc;
+  const FileRecord* rec = find_file(file);
+  FI_CHECK_MSG(rec != nullptr, "unknown file");
+  return rec->desc;
 }
 
 ClientId Network::file_owner(FileId file) const {
-  const auto it = files_.find(file);
-  FI_CHECK_MSG(it != files_.end(), "unknown file");
-  return it->second.owner;
+  const FileRecord* rec = find_file(file);
+  FI_CHECK_MSG(rec != nullptr, "unknown file");
+  return rec->owner;
 }
 
 Network::FileRecord& Network::record(FileId file) {
-  const auto it = files_.find(file);
-  FI_CHECK_MSG(it != files_.end(), "unknown file");
-  return it->second;
+  FileRecord* rec = find_file(file);
+  FI_CHECK_MSG(rec != nullptr, "unknown file");
+  return *rec;
 }
 
 bool Network::charge_gas(AccountId payer, TokenAmount amount) {
@@ -128,11 +138,11 @@ util::Status Network::file_confirm(
     const crypto::Hash256& comm_r,
     const std::optional<crypto::SealProof>& seal_proof) {
   ++misc_version_;
-  const auto it = files_.find(file);
-  if (it == files_.end()) {
+  FileRecord* rec = find_file(file);
+  if (rec == nullptr) {
     return util::err(util::ErrorCode::not_found, "unknown file");
   }
-  if (index >= it->second.desc.cp) {
+  if (index >= rec->desc.cp) {
     return util::err(util::ErrorCode::invalid_argument,
                      "replica index out of range");
   }
@@ -154,7 +164,7 @@ util::Status Network::file_confirm(
     const crypto::ReplicaId expected_id{provider, sector,
                                         replica_nonce(file, index)};
     if (seal_proof->id != expected_id ||
-        seal_proof->comm_d != it->second.desc.merkle_root ||
+        seal_proof->comm_d != rec->desc.merkle_root ||
         seal_proof->comm_r != comm_r ||
         !crypto::verify_seal(*seal_proof, params_.seal)) {
       return util::err(util::ErrorCode::proof_invalid,
@@ -164,10 +174,10 @@ util::Status Network::file_confirm(
   alloc_table_.set_comm_r(file, index, comm_r);
   alloc_table_.set_state(file, index, AllocState::confirm);
   // Initial upload: release the escrowed traffic fee to the provider.
-  if (entry.prev == kNoSector && it->second.traffic_escrowed[index]) {
-    const TokenAmount fee = params_.traffic_fee(it->second.desc.size);
+  if (entry.prev == kNoSector && rec->traffic_escrowed[index]) {
+    const TokenAmount fee = params_.traffic_fee(rec->desc.size);
     FI_CHECK(ledger_.transfer(traffic_escrow_, provider, fee).is_ok());
-    it->second.traffic_escrowed[index] = false;
+    rec->traffic_escrowed[index] = false;
     ++files_version_;
   }
   return util::Status::ok();
@@ -177,11 +187,11 @@ util::Status Network::file_prove(ProviderId provider, FileId file,
                                  ReplicaIndex index, SectorId sector,
                                  const crypto::WindowProof& proof) {
   ++misc_version_;
-  const auto it = files_.find(file);
-  if (it == files_.end()) {
+  const FileRecord* rec = find_file(file);
+  if (rec == nullptr) {
     return util::err(util::ErrorCode::not_found, "unknown file");
   }
-  if (index >= it->second.desc.cp) {
+  if (index >= rec->desc.cp) {
     return util::err(util::ErrorCode::invalid_argument,
                      "replica index out of range");
   }
@@ -287,7 +297,9 @@ util::Result<FileId> Network::file_add(ClientId client, const FileInfo& info) {
   rec.owner = client;
   rec.added_at = now_;
   rec.traffic_escrowed.assign(cp, true);
-  files_.emplace(id, std::move(rec));
+  if (id >= files_.size()) files_.resize(id + 1);
+  files_[id] = std::move(rec);
+  ++file_count_;
   ++files_version_;
   alloc_table_.create_file(id, cp);
 
@@ -304,11 +316,11 @@ util::Result<FileId> Network::file_add(ClientId client, const FileInfo& info) {
 
 util::Status Network::file_discard(ClientId client, FileId file) {
   ++misc_version_;
-  const auto it = files_.find(file);
-  if (it == files_.end()) {
+  FileRecord* rec = find_file(file);
+  if (rec == nullptr) {
     return util::err(util::ErrorCode::not_found, "unknown file");
   }
-  if (it->second.owner != client) {
+  if (rec->owner != client) {
     return util::err(util::ErrorCode::permission_denied,
                      "caller does not own the file");
   }
@@ -316,7 +328,7 @@ util::Status Network::file_discard(ClientId client, FileId file) {
     return util::err(util::ErrorCode::insufficient_funds,
                      "cannot pay request gas");
   }
-  it->second.desc.state = FileState::discard;
+  rec->desc.state = FileState::discard;
   ++files_version_;
   return util::Status::ok();
 }
@@ -324,8 +336,8 @@ util::Status Network::file_discard(ClientId client, FileId file) {
 util::Result<std::vector<SectorId>> Network::file_get(ClientId client,
                                                       FileId file) {
   ++misc_version_;
-  const auto it = files_.find(file);
-  if (it == files_.end()) {
+  const FileRecord* rec = find_file(file);
+  if (rec == nullptr) {
     return util::err(util::ErrorCode::not_found, "unknown file");
   }
   if (!charge_gas(client, params_.gas_per_task)) {
@@ -333,7 +345,7 @@ util::Result<std::vector<SectorId>> Network::file_get(ClientId client,
                      "cannot pay request gas");
   }
   std::vector<SectorId> holders;
-  for (ReplicaIndex i = 0; i < it->second.desc.cp; ++i) {
+  for (ReplicaIndex i = 0; i < rec->desc.cp; ++i) {
     const AllocEntry& e = alloc_table_.entry(file, i);
     if (e.state == AllocState::corrupted || e.prev == kNoSector) continue;
     if (sector_table_.state(e.prev) == SectorState::corrupted) continue;
@@ -389,9 +401,9 @@ void Network::run_task(const Task& task) {
 // ---------------------------------------------------------------------------
 
 void Network::auto_check_alloc(FileId file) {
-  const auto it = files_.find(file);
-  if (it == files_.end()) return;
-  FileRecord& rec = it->second;
+  FileRecord* found = find_file(file);
+  if (found == nullptr) return;
+  FileRecord& rec = *found;
 
   // Fig. 7, first loop: any entry neither confirmed nor corrupted fails
   // the upload.
@@ -430,9 +442,9 @@ void Network::auto_check_alloc(FileId file) {
 }
 
 void Network::auto_check_proof(FileId file) {
-  const auto it = files_.find(file);
-  if (it == files_.end()) return;
-  FileRecord& rec = it->second;
+  FileRecord* found = find_file(file);
+  if (found == nullptr) return;
+  FileRecord& rec = *found;
 
   // Fig. 8: charge the next cycle's rent + prepaid gas, or discard.
   bool discarded_for_rent = false;
@@ -522,8 +534,8 @@ void Network::auto_check_proof(FileId file) {
 }
 
 void Network::auto_refresh(FileId file, ReplicaIndex index) {
-  const auto it = files_.find(file);
-  if (it == files_.end()) return;
+  const FileRecord* rec = find_file(file);
+  if (rec == nullptr) return;
   const AllocEntry& e = alloc_table_.entry(file, index);
   if (e.state != AllocState::normal) {
     // Replica busy (mid-refresh or dead): try again after a fresh countdown.
@@ -544,7 +556,7 @@ void Network::auto_refresh(FileId file, ReplicaIndex index) {
     return;
   }
   if (params_.distinct_sectors) {
-    for (ReplicaIndex j = 0; j < it->second.desc.cp; ++j) {
+    for (ReplicaIndex j = 0; j < rec->desc.cp; ++j) {
       if (j != index && (alloc_table_.entry(file, j).prev == target ||
                          alloc_table_.entry(file, j).next == target)) {
         ++stats_.refresh_collisions;
@@ -564,27 +576,26 @@ void Network::auto_refresh(FileId file, ReplicaIndex index) {
 
 bool Network::start_refresh_to(FileId file, ReplicaIndex index,
                                SectorId target) {
-  const auto it = files_.find(file);
-  FI_CHECK(it != files_.end());
+  const FileRecord& rec = record(file);
   const AllocEntry& e = alloc_table_.entry(file, index);
   FI_CHECK(e.state == AllocState::normal);
-  if (!reserve_sector(target, it->second.desc.size).is_ok()) {
+  if (!reserve_sector(target, rec.desc.size).is_ok()) {
     return false;
   }
   link_next(file, index, target);
   alloc_table_.set_state(file, index, AllocState::alloc);
-  const Time deadline = now_ + params_.transfer_window(it->second.desc.size);
+  const Time deadline = now_ + params_.transfer_window(rec.desc.size);
   pending_.schedule(deadline, Task{TaskKind::check_refresh, file, index});
   bus_.emit(ReplicaTransferRequested{file, index, e.prev, target,
-                                     it->second.owner, deadline});
+                                     rec.owner, deadline});
   ++stats_.refreshes_started;
   return true;
 }
 
 void Network::auto_check_refresh(FileId file, ReplicaIndex index) {
-  const auto it = files_.find(file);
-  if (it == files_.end()) return;
-  const FileRecord& rec = it->second;
+  const FileRecord* found = find_file(file);
+  if (found == nullptr) return;
+  const FileRecord& rec = *found;
   const AllocEntry& e = alloc_table_.entry(file, index);
   if (e.next == kNoSector) return;  // stale: cancelled or already completed
 
@@ -781,7 +792,7 @@ void Network::corrupt_sector_internal(SectorId sector) {
     }
     if (e.state == AllocState::alloc && e.next != kNoSector) {
       // Outbound refresh whose source just died: cancel the transfer.
-      release_sector(e.next, files_.at(file).desc.size);
+      release_sector(e.next, record(file).desc.size);
       link_next(file, index, kNoSector);
     }
     alloc_table_.set_state(file, index, AllocState::corrupted);
@@ -797,7 +808,7 @@ void Network::corrupt_sector_internal(SectorId sector) {
       link_next(file, index, kNoSector);
       alloc_table_.set_state(file, index, AllocState::corrupted);
       // The traffic fee for this replica is refunded (never delivered).
-      auto& rec = files_.at(file);
+      FileRecord& rec = record(file);
       if (rec.traffic_escrowed[index]) {
         const TokenAmount fee = params_.traffic_fee(rec.desc.size);
         FI_CHECK(
@@ -867,10 +878,9 @@ util::Result<SectorId> Network::sample_sector_with_space(
 }
 
 void Network::remove_file_internal(FileId file) {
-  const auto it = files_.find(file);
-  FI_CHECK(it != files_.end());
-  const ByteCount size = it->second.desc.size;
-  for (ReplicaIndex i = 0; i < it->second.desc.cp; ++i) {
+  FileRecord& rec = record(file);
+  const ByteCount size = rec.desc.size;
+  for (ReplicaIndex i = 0; i < rec.desc.cp; ++i) {
     const AllocEntry e = alloc_table_.entry(file, i);
     if (e.next != kNoSector) {
       release_sector(e.next, size);
@@ -888,7 +898,8 @@ void Network::remove_file_internal(FileId file) {
     }
   }
   alloc_table_.remove_file(file);
-  files_.erase(it);
+  rec = FileRecord{};
+  --file_count_;
 }
 
 void Network::refund_unconfirmed_traffic(FileId file) {
@@ -902,10 +913,9 @@ void Network::refund_unconfirmed_traffic(FileId file) {
 }
 
 void Network::resample_cntdown(FileId file) {
-  const auto it = files_.find(file);
-  if (it == files_.end()) return;
-  it->second.desc.cntdown =
-      sample_refresh_countdown(rng_, params_.avg_refresh);
+  FileRecord* rec = find_file(file);
+  if (rec == nullptr) return;
+  rec->desc.cntdown = sample_refresh_countdown(rng_, params_.avg_refresh);
 }
 
 void Network::admission_rebalance(SectorId sector) {
@@ -1004,14 +1014,10 @@ void Network::save_misc(util::BinaryWriter& writer) const {
 }
 
 void Network::save_files(util::BinaryWriter& writer) const {
-  std::vector<FileId> files;
-  files.reserve(files_.size());
-  // fi-lint: allow(unordered-iter, keys collected then sorted before encoding)
-  for (const auto& [file, _] : files_) files.push_back(file);
-  std::sort(files.begin(), files.end());
-  writer.u64(files.size());
-  for (const FileId file : files) {
-    const FileRecord& rec = files_.at(file);
+  writer.u64(file_count_);
+  for (FileId file = 0; file < files_.size(); ++file) {
+    const FileRecord& rec = files_[file];
+    if (rec.desc.cp == 0) continue;
     writer.u64(file);
     writer.u64(rec.desc.size);
     writer.u64(rec.desc.value);
@@ -1154,13 +1160,13 @@ util::Status Network::load(util::BinaryReader& reader) {
     }
   }
 
-  alloc_table_.load(reader, sector_table_.count());
+  alloc_table_.load(reader, sector_table_.count(), next_file_id_);
   pending_.load(reader);
   deposit_book_.load(reader);
 
   files_.clear();
+  file_count_ = 0;
   const std::uint64_t files = reader.count(74);
-  files_.reserve(files);
   for (std::uint64_t i = 0; i < files; ++i) {
     const FileId file = reader.u64();
     FileRecord rec;
@@ -1179,11 +1185,16 @@ util::Status Network::load(util::BinaryReader& reader) {
     for (std::uint64_t f = 0; f < escrow_flags; ++f) {
       rec.traffic_escrowed.push_back(reader.boolean());
     }
-    if (!reader.ok()) break;
-    if (!files_.emplace(file, std::move(rec)).second) {
-      reader.fail();  // duplicate file id: the record would be dropped
+    // The id is bounded before it can size the dense record column; cp 0
+    // marks an absent id, and a repeated id would drop a record.
+    if (!reader.ok() || file >= next_file_id_ || rec.desc.cp == 0 ||
+        find_file(file) != nullptr) {
+      reader.fail();
       break;
     }
+    if (file >= files_.size()) files_.resize(file + 1);
+    files_[file] = std::move(rec);
+    ++file_count_;
   }
 
   if (!reader.ok()) {

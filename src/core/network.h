@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/alloc_table.h"
@@ -206,7 +205,7 @@ class Network {
   [[nodiscard]] const DepositBook& deposits() const { return deposit_book_; }
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
   [[nodiscard]] bool file_exists(FileId file) const {
-    return files_.contains(file);
+    return find_file(file) != nullptr;
   }
   /// Descriptor / owning client of a live file. Unknown ids are an
   /// invariant violation — guard with `file_exists` (files vanish
@@ -214,7 +213,7 @@ class Network {
   [[nodiscard]] const FileDescriptor& file(FileId file) const;
   [[nodiscard]] ClientId file_owner(FileId file) const;
   /// Files currently tracked (stored or mid-upload).
-  [[nodiscard]] std::size_t file_count() const { return files_.size(); }
+  [[nodiscard]] std::size_t file_count() const { return file_count_; }
   /// Id the next File_Add will get: every id ever issued is below it.
   [[nodiscard]] FileId next_file_id() const { return next_file_id_; }
   /// Scheduled-but-unexecuted automatic tasks.
@@ -350,6 +349,11 @@ class Network {
   void distribute_rent();
 
   // ---- Internal helpers ----------------------------------------------------
+  /// The record of a live file, or nullptr for an id never issued or
+  /// already removed.
+  [[nodiscard]] const FileRecord* find_file(FileId file) const;
+  [[nodiscard]] FileRecord* find_file(FileId file);
+  /// The record of a live file; unknown ids are an invariant violation.
   FileRecord& record(FileId file);
   /// Sets entry.prev / entry.next maintaining sector ref-counts.
   void link_prev(FileId file, ReplicaIndex idx, SectorId sector);
@@ -417,7 +421,12 @@ class Network {
   // resume and replayed history is not part of canonical state)
   EventBus bus_;
 
-  std::unordered_map<FileId, FileRecord> files_;
+  /// File records indexed by FileId (ids are dense counters, never
+  /// reused); `desc.cp == 0` marks an id that is not live, since every
+  /// live file keeps at least one replica.
+  std::vector<FileRecord> files_;
+  /// Number of live records in `files_`.
+  std::size_t file_count_ = 0;
   FileId next_file_id_ = 1;
   Time now_ = 0;
   TokenAmount total_stored_value_ = 0;

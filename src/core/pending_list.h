@@ -38,28 +38,26 @@ struct Task {
   ReplicaIndex index = 0;
 };
 
-/// Flat binary min-heap over (time, insertion-sequence) in one contiguous
-/// vector. The previous node-based multimap paid a heap allocation plus
-/// pointer-chasing per scheduled task; the vector heap is allocation-free
-/// once capacity is warm (re-arming storms recycle the same storage every
-/// proof cycle) and keeps sift paths inside a few cache lines.
+/// Time buckets in one vector sorted by descending time, so the earliest
+/// bucket pops from the back. Within a bucket, tasks sit in scheduling
+/// order: appending a task to its timestamp's bucket gives the (time,
+/// insertion) order with no sequence counter and no per-task heap sift.
+/// The engine schedules at a handful of distinct offsets from the current
+/// time (proof cycle, transfer windows, rent period), so the bucket count
+/// stays small and a binary search over it is a few comparisons.
 ///
-/// The heap's *internal* array order is layout-dependent and never
-/// observable: every read goes through pops ordered by the strict total
-/// order (time, seq) or through `save`, which sorts a copy into execution
-/// order first.
+/// Emptied task vectors go to a spare list and back into the next new
+/// bucket, so once capacity is warm (re-arming storms recycle the same
+/// storage every proof cycle) scheduling and popping allocate nothing.
 class PendingList {
  public:
   /// Enqueues `task` for execution at time `at` (gas already prepaid by
   /// the scheduling request). `at` may equal the current batch time:
-  /// Network::advance_to runs such tasks within the same call.
-  ///
-  /// The global sequence counter breaks timestamp ties by insertion
-  /// order, so execution order is identical to the historical
-  /// insertion-ordered multimap.
+  /// Network::advance_to runs such tasks within the same call, after the
+  /// tasks already due at `at`.
   void schedule(Time at, Task task) {
-    heap_.push_back(Item{at, next_seq_++, task});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    bucket_at(at).push_back(task);
+    ++size_;
     ++version_;
   }
 
@@ -67,10 +65,13 @@ class PendingList {
   /// appending onto `out` without clearing it. The epoch loop passes the
   /// same buffer every batch, so steady-state pops allocate nothing.
   void pop_due_into(Time t, std::vector<std::pair<Time, Task>>& out) {
-    while (!heap_.empty() && heap_.front().at <= t) {
-      out.emplace_back(heap_.front().at, heap_.front().task);
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
+    while (!buckets_.empty() && buckets_.back().at <= t) {
+      Bucket& bucket = buckets_.back();
+      for (const Task& task : bucket.tasks) out.emplace_back(bucket.at, task);
+      size_ -= bucket.tasks.size();
+      bucket.tasks.clear();
+      spare_.push_back(std::move(bucket.tasks));
+      buckets_.pop_back();
       ++version_;
     }
   }
@@ -84,39 +85,37 @@ class PendingList {
 
   /// Time of the earliest pending task, or kNoTime when empty.
   [[nodiscard]] Time next_time() const {
-    return heap_.empty() ? kNoTime : heap_.front().at;
+    return buckets_.empty() ? kNoTime : buckets_.back().at;
   }
 
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
 
   /// Mutation counter for incremental state hashing: bumped on every
   /// schedule and pop. Monotone within a process; not comparable across
   /// save/load.
   [[nodiscard]] std::uint64_t version() const { return version_; }
 
-  /// Canonical snapshot encoding: tasks in execution order. The heap array
-  /// itself is layout-dependent, so `save` sorts a copy by the (time, seq)
-  /// total order — byte-identical to the historical multimap iteration —
-  /// and `load` re-schedules in that order with a fresh dense sequence,
-  /// which preserves relative order and hence pop order.
+  /// Canonical snapshot encoding: tasks in execution order — buckets from
+  /// the earliest, each in insertion order — byte-identical to the
+  /// historical multimap iteration. `load` re-schedules in that order,
+  /// which rebuilds the same buckets.
   void save(util::BinaryWriter& writer) const {
-    std::vector<Item> ordered(heap_);
-    std::sort(ordered.begin(), ordered.end(),
-              [](const Item& a, const Item& b) {
-                return a.at != b.at ? a.at < b.at : a.seq < b.seq;
-              });
-    writer.u64(ordered.size());
-    for (const Item& item : ordered) {
-      writer.u64(item.at);
-      writer.u8(static_cast<std::uint8_t>(item.task.kind));
-      writer.u64(item.task.file);
-      writer.u32(item.task.index);
+    writer.u64(size_);
+    for (auto bucket = buckets_.rbegin(); bucket != buckets_.rend();
+         ++bucket) {
+      for (const Task& task : bucket->tasks) {
+        writer.u64(bucket->at);
+        writer.u8(static_cast<std::uint8_t>(task.kind));
+        writer.u64(task.file);
+        writer.u32(task.index);
+      }
     }
   }
   void load(util::BinaryReader& reader) {
-    heap_.clear();
-    next_seq_ = 0;
+    buckets_.clear();
+    spare_.clear();
+    size_ = 0;
     ++version_;
     const std::uint64_t n = reader.count(21);
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -135,29 +134,33 @@ class PendingList {
   }
 
  private:
-  struct Item {
+  struct Bucket {
     Time at = 0;
-    /// Insertion tie-break: encoded *positionally* — save sorts by
-    /// (at, seq) and load renumbers densely in wire order, preserving the
-    /// only observable property (relative order).
-    // fi-lint: not-serialized(encoded positionally via the sorted order)
-    std::uint64_t seq = 0;
-    Task task;
-  };
-  /// Max-heap comparator inverted into a min-heap on (at, seq): the
-  /// strict total order guarantees a unique pop sequence for any heap
-  /// layout holding the same multiset of items.
-  struct Later {
-    bool operator()(const Item& a, const Item& b) const {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-    }
+    std::vector<Task> tasks;
   };
 
-  std::vector<Item> heap_;
-  /// Tie-break sequence. Only *relative* order is observable (pops and the
-  /// sorted save), so the dense renumbering on load changes nothing.
-  // fi-lint: not-serialized(tie-break counter; load() renumbers densely)
-  std::uint64_t next_seq_ = 0;
+  /// The task vector of the bucket at time `at`, inserted in time order
+  /// (with recycled storage) when there is none yet.
+  std::vector<Task>& bucket_at(Time at) {
+    const auto it = std::lower_bound(
+        buckets_.begin(), buckets_.end(), at,
+        [](const Bucket& bucket, Time t) { return bucket.at > t; });
+    if (it != buckets_.end() && it->at == at) return it->tasks;
+    Bucket bucket{at, {}};
+    if (!spare_.empty()) {
+      bucket.tasks = std::move(spare_.back());
+      spare_.pop_back();
+    }
+    return buckets_.insert(it, std::move(bucket))->tasks;
+  }
+
+  /// Non-empty buckets, strictly descending by `at`.
+  std::vector<Bucket> buckets_;
+  /// Cleared task vectors kept for their capacity.
+  // fi-lint: not-serialized(allocator state: empty vectors kept for reuse)
+  std::vector<std::vector<Task>> spare_;
+  /// Total tasks over all buckets.
+  std::size_t size_ = 0;
   // fi-lint: not-serialized(in-process mutation counter for incremental hashing)
   std::uint64_t version_ = 0;
 };

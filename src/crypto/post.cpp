@@ -6,7 +6,6 @@ namespace fi::crypto {
 
 namespace {
 constexpr std::string_view kWindowDomain = "fi/post/window";
-constexpr std::string_view kWinningDomain = "fi/post/winning";
 
 std::span<const std::uint8_t> block_span(std::span<const std::uint8_t> data,
                                          std::size_t i) {
@@ -74,12 +73,6 @@ bool verify_window(const WindowProof& proof, const Hash256& expected_comm_r,
     }
   }
   return true;
-}
-
-Hash256 winning_ticket(const Hash256& beacon, AccountId miner,
-                       const Hash256& comm_r) {
-  Hash256 t = hash_with_u64s(kWinningDomain, beacon, {miner});
-  return hash_pair(kWinningDomain, t, comm_r);
 }
 
 }  // namespace fi::crypto

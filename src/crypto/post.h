@@ -13,8 +13,7 @@
 /// WindowPoSt (paper §II-B3) proves a replica is *still held* at proof time:
 /// the epoch beacon picks random sealed blocks, the prover opens them against
 /// the registered CommR. A prover who discarded the sealed bytes cannot
-/// answer fresh challenges. WinningPoSt reuses the same structure with a
-/// single challenge for block-election eligibility.
+/// answer fresh challenges.
 namespace fi::crypto {
 
 /// A WindowPoSt proof for one replica at one epoch.
@@ -46,12 +45,5 @@ WindowProof prove_window(std::span<const std::uint8_t> sealed,
 bool verify_window(const WindowProof& proof, const Hash256& expected_comm_r,
                    const Hash256& expected_beacon,
                    std::uint32_t challenge_count);
-
-/// WinningPoSt: single-challenge eligibility ticket for Expected Consensus.
-/// Returns the election ticket hash, which a host chain compares to a
-/// power-scaled threshold. The election itself is not modelled: FileInsurer
-/// assumes the host chain's consensus is secure (§V-A).
-Hash256 winning_ticket(const Hash256& beacon, AccountId miner,
-                       const Hash256& comm_r);
 
 }  // namespace fi::crypto

@@ -546,7 +546,10 @@ bool ScenarioRunner::add_file() {
     ++add_rejections_;
     return false;
   }
-  live_positions_.emplace(id.value(), live_files_.size());
+  if (id.value() >= live_positions_.size()) {
+    live_positions_.resize(id.value() + 1, kNoLivePosition);
+  }
+  live_positions_[id.value()] = live_files_.size();
   live_files_.push_back(id.value());
   return true;
 }
@@ -563,14 +566,16 @@ core::FileId ScenarioRunner::sample_live_file() {
 }
 
 void ScenarioRunner::forget_file(core::FileId file) {
-  const auto it = live_positions_.find(file);
-  if (it == live_positions_.end()) return;
-  const std::size_t idx = it->second;
+  if (file >= live_positions_.size() ||
+      live_positions_[file] == kNoLivePosition) {
+    return;
+  }
+  const std::size_t idx = live_positions_[file];
   const core::FileId moved = live_files_.back();
   live_files_[idx] = moved;
   live_positions_[moved] = idx;
   live_files_.pop_back();
-  live_positions_.erase(file);
+  live_positions_[file] = kNoLivePosition;
 }
 
 // ---------------------------------------------------------------------------
@@ -1112,9 +1117,22 @@ util::Status ScenarioRunner::load_state(util::BinaryReader& reader) {
 
   live_files_ = util::load_u64_seq<core::FileId>(reader);
   live_positions_.clear();
-  live_positions_.reserve(live_files_.size());
   for (std::size_t i = 0; i < live_files_.size(); ++i) {
-    live_positions_[live_files_[i]] = i;
+    // Bounded by the restored id counter before it can size the column;
+    // the saved list never repeats an id.
+    const core::FileId file = live_files_[i];
+    if (file >= net_->next_file_id()) {
+      return util::err(util::ErrorCode::invalid_argument,
+                       "snapshot live-file list names an unissued file");
+    }
+    if (file >= live_positions_.size()) {
+      live_positions_.resize(file + 1, kNoLivePosition);
+    }
+    if (live_positions_[file] != kNoLivePosition) {
+      return util::err(util::ErrorCode::invalid_argument,
+                       "snapshot live-file list repeats a file");
+    }
+    live_positions_[file] = i;
   }
 
   const std::uint64_t adversaries = reader.u64();

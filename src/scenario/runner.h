@@ -306,11 +306,14 @@ class ScenarioRunner {
   /// Outstanding transfer requests (the honest provider's inbox).
   std::vector<core::ReplicaTransferRequested> transfer_queue_;
 
-  /// Dense live-file set (swap-erase + position map) kept in sync through
-  /// engine events; O(1) uniform sampling for churn discards.
+  /// Dense live-file set (swap-erase + position column) kept in sync
+  /// through engine events; O(1) uniform sampling for churn discards.
   std::vector<core::FileId> live_files_;
-  // fi-lint: not-serialized(derived: position map of live_files_, rebuilt on load)
-  std::unordered_map<core::FileId, std::size_t> live_positions_;
+  /// Position of each FileId in `live_files_` (kNoLivePosition when not
+  /// listed), indexed by FileId: ids are dense counters, never reused.
+  // fi-lint: not-serialized(derived: position column of live_files_, rebuilt on load)
+  std::vector<std::size_t> live_positions_;
+  static constexpr std::size_t kNoLivePosition = ~std::size_t{0};
 
   /// Configured adversaries, in spec order.
   std::vector<ActiveAdversary> adversaries_;

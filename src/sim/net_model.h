@@ -11,7 +11,7 @@
 /// the repository's one network model.
 ///
 /// Typed messages sit in a flat min-heap keyed `(deliver_at, seq)` — the
-/// same order-is-state tie-break discipline as the protocol pending list —
+/// same (time, insertion) order as the protocol pending list —
 /// with a private seeded RNG for latency/loss draws, and per-region
 /// partition and outage flags. Everything mutable has a canonical
 /// little-endian encoding (`save_state`/`load_state`), so a resumed run

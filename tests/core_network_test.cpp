@@ -1205,5 +1205,90 @@ TEST_F(AgentsFixture, DeterministicUnderFixedSeed) {
   EXPECT_NE(std::get<1>(first), 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Snapshot loader bounds
+// ---------------------------------------------------------------------------
+
+/// File ids index dense columns, so `load` must reject an id the network
+/// never issued (or an empty replica group) before it can size anything.
+/// The body is a real save whose one file group has no reverse-index or
+/// sampler references — its upload targets died before any confirmation —
+/// so each patch below changes only the field under test.
+TEST_F(NetworkFixture, LoadRejectsUnissuedFileIdsAndEmptyGroups) {
+  build(test_params());
+  const auto added = net->file_add(client, {512, 10, {}});
+  ASSERT_TRUE(added.is_ok()) << added.status().to_string();
+  const FileId file = added.value();
+  for (ReplicaIndex i = 0; i < net->allocations().replica_count(file); ++i) {
+    const SectorId target = net->allocations().entry(file, i).next;
+    if (target != kNoSector) net->corrupt_sector_now(target);
+  }
+  for (const SectorId sector : sectors_) {
+    ASSERT_EQ(net->allocations().count_with_prev(sector), 0u);
+    ASSERT_EQ(net->allocations().count_with_next(sector), 0u);
+  }
+  ASSERT_EQ(net->allocations().normal_entry_count(), 0u);
+  ASSERT_EQ(net->allocations().file_count(), 1u);
+  const std::uint64_t bound = net->next_file_id();
+
+  util::BinaryWriter writer;
+  net->save(writer);
+  const std::vector<std::uint8_t> body = writer.data();
+  // `save` is the in-order concatenation of the state components.
+  std::size_t offsets[Network::kStateComponentCount + 1] = {0};
+  for (std::size_t c = 0; c < Network::kStateComponentCount; ++c) {
+    util::BinaryWriter part;
+    net->save_state_component(static_cast<Network::StateComponent>(c), part);
+    offsets[c + 1] = offsets[c] + part.data().size();
+  }
+  ASSERT_EQ(offsets[Network::kStateComponentCount], body.size());
+  const auto section = [&](Network::StateComponent c) {
+    return offsets[static_cast<std::size_t>(c)];
+  };
+  // Each section opens with its u64 group count; the first group opens
+  // with its u64 file id. A file record then holds size, value and the
+  // 32-byte Merkle root before its u32 cp.
+  const std::size_t alloc_id =
+      section(Network::StateComponent::allocations) + 8;
+  const std::size_t record_id = section(Network::StateComponent::files) + 8;
+  const std::size_t record_cp = record_id + 8 + 8 + 8 + 32;
+
+  const auto loads = [&](const std::vector<std::uint8_t>& bytes) {
+    ledger::Ledger fresh_ledger;
+    Network fresh(params, fresh_ledger, 7);
+    util::BinaryReader reader(bytes);
+    const util::Status status = fresh.load(reader);
+    return status.is_ok() && reader.exhausted();
+  };
+  const auto patched = [&](std::size_t offset, std::uint64_t value,
+                           int width) {
+    std::vector<std::uint8_t> bytes = body;
+    for (int b = 0; b < width; ++b) {
+      bytes[offset + static_cast<std::size_t>(b)] =
+          static_cast<std::uint8_t>(value >> (8 * b));
+    }
+    return bytes;
+  };
+  ASSERT_TRUE(loads(body));
+  ASSERT_EQ(patched(alloc_id, file, 8), body);
+  ASSERT_EQ(patched(record_id, file, 8), body);
+  ASSERT_EQ(patched(record_cp, net->file(file).cp, 4), body);
+
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  EXPECT_FALSE(loads(patched(alloc_id, bound, 8)));
+  EXPECT_FALSE(loads(patched(alloc_id, huge, 8)));
+  EXPECT_FALSE(loads(patched(record_id, bound, 8)));
+  EXPECT_FALSE(loads(patched(record_id, huge, 8)));
+  EXPECT_FALSE(loads(patched(record_cp, 0, 4)));
+
+  // An extra empty group (id 0 was never issued a replica, cp 0) ahead of
+  // the real one, with the group count raised to match.
+  std::vector<std::uint8_t> empty_group = patched(alloc_id - 8, 2, 8);
+  empty_group.insert(
+      empty_group.begin() + static_cast<std::ptrdiff_t>(alloc_id), 12,
+      std::uint8_t{0});
+  EXPECT_FALSE(loads(empty_group));
+}
+
 }  // namespace
 }  // namespace fi::core

@@ -3,7 +3,7 @@
 // The PR 7 memory-layout refactor replaced node-based containers with
 // struct-of-arrays storage plus swap-erase reverse indexes:
 //
-//   * core::PendingList:  ordered multimap  -> flat binary heap
+//   * core::PendingList:  ordered multimap  -> time buckets
 //   * core::SectorTable:  record vector     -> per-field SoA + Fenwick
 //   * core::AllocTable:   nested hash maps  -> slab + dense bucket vectors
 //
@@ -66,7 +66,7 @@ std::vector<std::uint8_t> save_bytes(const T& table) {
 
 /// Reference oracle in the old idiom: a multimap keyed by time. Equal keys
 /// keep insertion order (guaranteed since C++11), which is exactly the
-/// (time, sequence) total order the heap must reproduce.
+/// (time, insertion) order the time buckets must reproduce.
 struct PendingOracle {
   std::multimap<Time, Task> items;
 
@@ -144,9 +144,9 @@ TEST(LayoutEquivalence, PendingListMatchesMultimapOracle) {
         const auto encoded = save_bytes(pending);
         ASSERT_EQ(encoded, oracle.save_encoding()) << "step " << step;
 
-        // Round trip, then CONTINUE on the loaded instance: load renumbers
-        // the tie-break sequence densely, and the rest of the op sequence
-        // proves that renumbering is unobservable.
+        // Round trip, then CONTINUE on the loaded instance: load rebuilds
+        // the buckets from the wire order, and the rest of the op sequence
+        // proves the rebuilt list behaves identically.
         PendingList loaded;
         util::BinaryReader reader(encoded);
         loaded.load(reader);
@@ -684,7 +684,7 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
         // identically.
         AllocTable loaded;
         util::BinaryReader reader(encoded);
-        loaded.load(reader, kSectorUniverse);
+        loaded.load(reader, kSectorUniverse, kFileUniverse);
         ASSERT_TRUE(reader.ok() && reader.exhausted()) << "step " << step;
         ASSERT_EQ(save_bytes(loaded), encoded) << "step " << step;
         if (!oracle.normal_entries.empty()) {

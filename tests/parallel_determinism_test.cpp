@@ -309,9 +309,9 @@ TEST(ParallelDeterminismTest, ScenarioReportsAreByteIdenticalAcrossWorkers) {
 // ---- Allocation-free steady-state sweeps ----------------------------------
 
 /// The SoA/arena layout's contract: after warm-up, a proof-cycle sweep
-/// recycles every buffer it needs (the pending heap, the popped-task
-/// batch), and Auto_CheckProof needs no scratch buffer at all, so a
-/// steady-state epoch makes no heap allocation.
+/// recycles every buffer it needs (the pending list's task vectors, the
+/// popped-task batch), and Auto_CheckProof needs no scratch buffer at all,
+/// so a steady-state epoch makes no heap allocation.
 TEST(ParallelDeterminismTest, SteadyStateSweepIsAllocationFree) {
   Params params;
   params.verify_proofs = false;

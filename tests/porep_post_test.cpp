@@ -229,12 +229,5 @@ TEST(PoSt, ChallengesDeterministicAndBeaconSensitive) {
             window_challenges(beacon2, comm, 8, 1000));
 }
 
-TEST(PoSt, WinningTicketDependsOnMinerAndBeacon) {
-  const Hash256 beacon = hash_u64s("b", {1});
-  const Hash256 comm = hash_u64s("c", {1});
-  EXPECT_NE(winning_ticket(beacon, 1, comm), winning_ticket(beacon, 2, comm));
-  EXPECT_EQ(winning_ticket(beacon, 1, comm), winning_ticket(beacon, 1, comm));
-}
-
 }  // namespace
 }  // namespace fi::crypto

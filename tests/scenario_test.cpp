@@ -15,6 +15,7 @@
 #include "scenario/runner.h"
 #include "scenario/spec.h"
 #include "snapshot/snapshot.h"
+#include "util/binary_io.h"
 #include "util/config.h"
 #include "util/prng.h"
 
@@ -406,4 +407,56 @@ TEST(ScenarioRunnerTest, ExtraLookupHelper) {
   EXPECT_DOUBLE_EQ(fi::scenario::extra_or(phase, "beta", -1.0), -1.0);
 }
 
+
+/// The live-file list indexes a dense position column by FileId, so a
+/// resume must reject an id the network never issued, before the id can
+/// size the column, and an id listed twice (the saved list never repeats).
+TEST(ScenarioRunnerTest, LiveFileListWithUnissuedOrRepeatedIdIsRejected) {
+  const ScenarioSpec spec = churn_spec();
+  std::vector<std::uint8_t> body;
+  std::size_t list = 0;  // offset of the live list's u64 length word
+  fi::core::FileId next_file = 0;
+  ScenarioRunner saver(spec);
+  saver.set_epoch_callback([&](const ScenarioRunner& at_epoch) {
+    if (at_epoch.epoch() != 2) return;
+    fi::util::BinaryWriter writer;
+    at_epoch.save_state(writer);
+    body = writer.data();
+    // Five u64 header words and four PRNG words, the ledger, the engine,
+    // then the transfer queue (a u64 count of 44-byte requests).
+    fi::util::BinaryWriter ledger;
+    at_epoch.ledger().save(ledger);
+    fi::util::BinaryWriter engine;
+    at_epoch.network().save(engine);
+    const std::size_t queue = 9 * 8 + ledger.data().size() +
+                              engine.data().size();
+    fi::util::BinaryReader count(
+        std::span<const std::uint8_t>(body).subspan(queue));
+    list = queue + 8 + 44 * static_cast<std::size_t>(count.u64());
+    next_file = at_epoch.network().next_file_id();
+  });
+  (void)saver.run();
+  ASSERT_FALSE(body.empty());
+  const std::span<const std::uint8_t> saved(body);
+  fi::util::BinaryReader length(saved.subspan(list));
+  ASSERT_GE(length.u64(), 2u);
+
+  const auto resumes = [&](const std::vector<std::uint8_t>& bytes) {
+    fi::util::BinaryReader reader(bytes);
+    return ScenarioRunner::resume(spec, reader).is_ok();
+  };
+  const auto with_id = [&](std::size_t slot, std::uint64_t id) {
+    std::vector<std::uint8_t> bytes = body;
+    for (std::size_t b = 0; b < 8; ++b) {
+      bytes[list + 8 + 8 * slot + b] =
+          static_cast<std::uint8_t>(id >> (8 * b));
+    }
+    return bytes;
+  };
+  ASSERT_TRUE(resumes(body));
+  EXPECT_FALSE(resumes(with_id(0, next_file)));
+  EXPECT_FALSE(resumes(with_id(0, std::uint64_t{1} << 40)));
+  fi::util::BinaryReader first(saved.subspan(list + 8));
+  EXPECT_FALSE(resumes(with_id(1, first.u64())));
+}
 }  // namespace
